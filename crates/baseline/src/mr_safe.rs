@@ -22,10 +22,13 @@
 
 use std::collections::BTreeMap;
 
+use sbft_core::cluster::{Automata, Cluster, Op, Protocol, SimSubstrate};
 use sbft_core::messages::{ClientEvent, Msg, ValTs, Value};
 use sbft_core::spec::{HistoryRecorder, OpKind, OpOutcome};
+use sbft_core::RetryPolicy;
 use sbft_labels::{LabelingSystem, MwmrLabeling, UnboundedLabeling};
-use sbft_net::{Automaton, Ctx, DelayModel, ProcessId, SimConfig, Simulation, ENV};
+use sbft_net::{Automaton, Ctx, ProcessId, ENV};
+use sbft_storage::DiskSet;
 
 use crate::{USys, UTs};
 
@@ -174,84 +177,61 @@ impl Automaton<BMsg, BEvent> for MrClient {
     }
 }
 
-/// An assembled safe-register cluster.
-pub struct MrCluster {
-    /// Underlying simulation.
-    pub sim: Simulation<BMsg, BEvent>,
-    /// Server count (`5f`).
-    pub n: usize,
-    n_clients: usize,
-    /// History, checked with [`check_safety`].
-    pub recorder: HistoryRecorder<UnboundedLabeling>,
-    /// Max events per blocking op.
-    pub op_budget: u64,
+/// The safe register: `n = 5f` servers (the paper's Section V figure),
+/// then the clients; client 0 is the distinguished writer.
+pub struct Mr {
+    n: usize,
+    f: usize,
 }
 
-impl MrCluster {
-    /// `n = 5f` servers (the paper's Section V figure), `clients` clients
-    /// (client 0 is the distinguished writer).
-    pub fn new(f: usize, clients: usize, seed: u64) -> Self {
-        let n = 5 * f;
-        let mut sim: Simulation<BMsg, BEvent> = Simulation::new(SimConfig {
-            seed,
-            delay: DelayModel::uniform(1, 10),
-            trace_capacity: 0,
-            ..SimConfig::default()
+/// A safe-register cluster on a substrate `S` — the simulator by default.
+/// Its history is checked with [`check_safety`]: the regularity checker
+/// would hold a safe register to more than it promises.
+pub type MrCluster<S = SimSubstrate<Mr>> = Cluster<Mr, S>;
+
+impl Mr {
+    /// `n = 5f` servers tolerating `f` Byzantine ones.
+    pub fn new(f: usize) -> Self {
+        Self { n: 5 * f, f }
+    }
+}
+
+impl Protocol for Mr {
+    type Base = UnboundedLabeling;
+    type Msg = BMsg;
+    type Out = BEvent;
+    type History = HistoryRecorder<UnboundedLabeling>;
+
+    const OP_BUDGET: u64 = crate::OP_BUDGET;
+
+    fn sys(&self) -> USys {
+        MwmrLabeling::new(UnboundedLabeling)
+    }
+
+    fn servers(&self) -> usize {
+        self.n
+    }
+
+    fn automata(
+        &self,
+        _sys: &USys,
+        clients: usize,
+        _retry: RetryPolicy,
+        _disks: Option<&DiskSet>,
+    ) -> Automata<Self> {
+        let servers = (0..self.n).map(|_| Box::new(MrServer::new()) as Box<dyn Automaton<_, _>>);
+        let clients = (0..clients).map(|c| {
+            Box::new(MrClient::new(self.n, self.f, (self.n + c) as u32)) as Box<dyn Automaton<_, _>>
         });
-        for _ in 0..n {
-            sim.add_process(Box::new(MrServer::new()));
-        }
-        for c in 0..clients {
-            sim.add_process(Box::new(MrClient::new(n, f, (n + c) as u32)));
-        }
-        Self { sim, n, n_clients: clients, recorder: HistoryRecorder::new(), op_budget: 200_000 }
+        servers.chain(clients).collect()
     }
 
-    /// Pid of client `i`.
-    pub fn client(&self, i: usize) -> ProcessId {
-        assert!(i < self.n_clients);
-        self.n + i
+    fn command(_key: (), op: Op) -> BMsg {
+        op.command()
     }
 
-    fn await_client(&mut self, client: ProcessId) -> Option<BEvent> {
-        let mut budget = self.op_budget;
-        while budget > 0 {
-            let ev = self.sim.step()?;
-            budget -= 1;
-            let (time, pid) = (ev.time, ev.pid);
-            for out in ev.outputs {
-                self.recorder.complete(pid, time, &out);
-                if pid == client {
-                    return Some(out);
-                }
-            }
-        }
-        None
-    }
-
-    /// Blocking write (client 0 is the writer).
-    pub fn write(&mut self, client: ProcessId, value: Value) -> Option<UTs> {
-        self.recorder.begin_with_intent(client, OpKind::Write, self.sim.now() + 1, Some(value));
-        self.sim.inject(client, Msg::InvokeWrite { value });
-        match self.await_client(client)? {
-            ClientEvent::WriteDone { ts, .. } => Some(ts),
-            _ => None,
-        }
-    }
-
-    /// Blocking read.
-    pub fn read(&mut self, client: ProcessId) -> Option<(Value, UTs)> {
-        self.recorder.begin(client, OpKind::Read, self.sim.now() + 1);
-        self.sim.inject(client, Msg::InvokeRead);
-        match self.await_client(client)? {
-            ClientEvent::ReadDone { value, ts, .. } => Some((value, ts)),
-            _ => None,
-        }
-    }
-
-    /// Messages sent so far (E7 cost accounting).
-    pub fn messages_sent(&self) -> u64 {
-        self.sim.metrics().messages_sent
+    fn event(out: &BEvent) -> ((), &BEvent) {
+        ((), out)
     }
 }
 
@@ -288,6 +268,7 @@ pub fn check_safety(rec: &HistoryRecorder<UnboundedLabeling>) -> Result<(), Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbft_core::cluster::ClusterBuilder;
 
     #[test]
     fn quorum_arithmetic() {
@@ -297,26 +278,28 @@ mod tests {
         assert_eq!(c.quorum(), 8); // ⌈(10 + 5)/2⌉ = 8 ≤ 8
     }
 
+    fn cluster(f: usize, seed: u64) -> MrCluster {
+        ClusterBuilder::new(Mr::new(f)).seed(seed).build()
+    }
+
     #[test]
     fn clean_roundtrip_is_safe() {
-        let mut c = MrCluster::new(1, 2, 1);
+        let mut c = cluster(1, 1);
         let w = c.client(0);
         for v in 1..=6 {
             c.write(w, v).unwrap();
-            let (got, _) = c.read(c.client(1)).unwrap();
-            assert_eq!(got, v);
+            assert_eq!(c.read(c.client(1)).unwrap().value, v);
         }
         assert!(check_safety(&c.recorder).is_ok());
     }
 
     #[test]
     fn survives_f_silent_servers() {
-        let mut c = MrCluster::new(1, 2, 2);
+        let mut c = cluster(1, 2);
         c.sim.crash(0); // one unresponsive server
         let w = c.client(0);
         c.write(w, 9).unwrap();
-        let (got, _) = c.read(c.client(1)).unwrap();
-        assert_eq!(got, 9);
+        assert_eq!(c.read(c.client(1)).unwrap().value, 9);
         assert!(check_safety(&c.recorder).is_ok());
     }
 

@@ -3,10 +3,9 @@
 //! round on a freshly built simulated cluster.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sbft_baseline::abd::AbdCluster;
-use sbft_baseline::klmw::KlmwCluster;
+use sbft_baseline::{Abd, Klmw};
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::RegisterCluster;
+use sbft_core::cluster::{ClusterBuilder, RegisterCluster};
 
 fn ours(crit: &mut Criterion) {
     let mut group = crit.benchmark_group("ours_roundtrip");
@@ -41,7 +40,7 @@ fn baselines(crit: &mut Criterion) {
     for f in [1usize, 2] {
         group.bench_with_input(BenchmarkId::new("klmw", f), &f, |b, &f| {
             b.iter(|| {
-                let mut c = KlmwCluster::new(f, 2, 0, 1);
+                let mut c = ClusterBuilder::new(Klmw::new(f, 0)).seed(1).build();
                 let w = c.client(0);
                 c.write(w, 7).unwrap();
                 c.read(c.client(1)).unwrap()
@@ -49,7 +48,7 @@ fn baselines(crit: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("abd", f), &f, |b, &f| {
             b.iter(|| {
-                let mut c = AbdCluster::new(f, 2, 1);
+                let mut c = ClusterBuilder::new(Abd::new(f)).seed(1).build();
                 let w = c.client(0);
                 c.write(w, 7).unwrap();
                 c.read(c.client(1)).unwrap()

@@ -86,15 +86,12 @@ pub fn ablate_flush(seeds: u64) -> Table {
         for seed in 0..seeds {
             let cfg = sbft_core::config::ClusterConfig::stabilizing(1).labels(2);
             let mut c: RegisterCluster<sbft_labels::BoundedLabeling> =
-                sbft_core::cluster::ClusterBuilder::new(
-                    cfg,
-                    sbft_labels::BoundedLabeling::new(cfg.label_k()),
-                )
-                .clients(3)
-                .seed(seed)
-                .delay(sbft_net::DelayModel::uniform(1, 60))
-                .reader_options(opts)
-                .build();
+                RegisterCluster::with_config(cfg, sbft_labels::BoundedLabeling::new(cfg.label_k()))
+                    .clients(3)
+                    .seed(seed)
+                    .delay(sbft_net::DelayModel::uniform(1, 60))
+                    .reader_options(opts)
+                    .build();
             let (w1, w2, r) = (c.client(0), c.client(1), c.client(2));
             c.write(w1, 1).expect("seed write");
             // Interleave: writer churn + reader back-to-back reads. The

@@ -55,7 +55,7 @@ pub fn run_cell(keys: u64, seed: u64) -> E13Cell {
     let regular_keys = (0..keys)
         .filter(|&k| {
             store
-                .recorders
+                .recorder
                 .get(&k)
                 .map(|r| r.check_from(&store.sys, stable).is_ok())
                 .unwrap_or(false)

@@ -138,9 +138,9 @@ fn run_seed(cell: &mut E14Cell, backend: Backend, seed: u64, strat: ByzStrategy)
         .backend(backend)
         .retry(RetryPolicy::chaos())
         .build_any();
-    let total_procs = c.cfg.n + 2;
+    let total_procs = c.cfg().n + 2;
     let opts = NemesisOpts {
-        servers: c.cfg.n,
+        servers: c.cfg().n,
         total_procs,
         byz_seats: vec![byz_seat],
         ..NemesisOpts::default()

@@ -29,7 +29,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use sbft_core::cluster::RegisterCluster;
+use sbft_core::cluster::{RegisterCluster, MAX_IDLE_PUMPS};
 use sbft_core::messages::{ClientEvent, Msg};
 use sbft_core::Ts;
 use sbft_kv::messages::KvMsg;
@@ -48,9 +48,6 @@ const KV_KEYSPACE: u64 = 8;
 /// Event budget per completion wait; generous (an op is a few hundred
 /// events) so only a genuinely wedged cluster trips it.
 const PUMP_BUDGET: u64 = 2_000_000;
-
-/// Consecutive idle pumps (threaded backend) before giving up on an op.
-const MAX_IDLE_PUMPS: u32 = 50;
 
 /// Arrival pacing of the load generator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

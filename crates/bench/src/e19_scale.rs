@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use sbft_core::cluster::MAX_IDLE_PUMPS;
 use sbft_core::messages::Msg;
 use sbft_core::Ts;
 use sbft_kv::messages::{KvEvent, KvMsg};
@@ -41,9 +42,6 @@ type B = BoundedLabeling;
 
 /// Event budget for one whole cell (not per op — the driver pumps freely).
 const PUMP_BUDGET_PER_OP: u64 = 200_000;
-
-/// Consecutive idle pumps (threaded backend) before declaring the run done.
-const MAX_IDLE_PUMPS: u32 = 50;
 
 /// Parameters of one scale cell.
 #[derive(Clone, Copy, Debug)]

@@ -62,10 +62,10 @@ pub fn run_cell(f: usize, ops: u64, seed: u64) -> E5Cell {
         let cl = c.client_state(1).expect("client");
         (cl.pool.pool_size(), cl.pool.reuse_count())
     };
-    let labeling = BoundedLabeling::new(c.cfg.label_k());
+    let labeling = BoundedLabeling::new(c.cfg().label_k());
     E5Cell {
         f,
-        k: c.cfg.label_k(),
+        k: c.cfg().label_k(),
         domain: labeling.domain(),
         label_bits: labeling.label_bits(),
         writes,

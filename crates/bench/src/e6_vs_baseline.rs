@@ -18,8 +18,8 @@
 //! "Recovered" = all post-fault writes complete **and** the final read
 //! returns the last written value.
 
-use sbft_baseline::klmw::KlmwCluster;
-use sbft_core::cluster::RegisterCluster;
+use sbft_baseline::klmw::{self, Klmw};
+use sbft_core::cluster::{ClusterBuilder, RegisterCluster};
 use sbft_core::server::Server;
 use sbft_labels::{MwmrTimestamp, UnboundedLabeling};
 use sbft_net::CorruptionSeverity;
@@ -130,12 +130,12 @@ pub fn run_klmw(seeds: u64, writes: u64) -> E6Cell {
         recovered: 0,
     };
     for seed in 0..seeds {
-        let mut c = KlmwCluster::new(1, 2, 1, seed);
+        let mut c = ClusterBuilder::new(Klmw::new(1, 1)).seed(seed).build();
         c.op_budget = 50_000;
         let w = c.client(0);
         let r = c.client(1);
         c.write(w, 1).expect("pre-fault write");
-        c.poison(0, 999, true);
+        klmw::poison(&mut c, 0, 999, true);
         let mut all_ok = true;
         let mut last = 1;
         for i in 0..writes {
@@ -148,8 +148,8 @@ pub fn run_klmw(seeds: u64, writes: u64) -> E6Cell {
             }
         }
         if all_ok {
-            if let Ok((v, _)) = c.read(r) {
-                if v == last {
+            if let Ok(got) = c.read(r) {
+                if got.value == last {
                     cell.recovered += 1;
                 }
             }

@@ -8,10 +8,8 @@
 //! costs roughly `(5f+1)/(3f+1)` × KLMW and `(5f+1)/(2f+1)` × ABD, plus
 //! the FLUSH round on reads.
 
-use sbft_baseline::abd::AbdCluster;
-use sbft_baseline::klmw::KlmwCluster;
-use sbft_baseline::mr_safe::MrCluster;
-use sbft_core::cluster::RegisterCluster;
+use sbft_baseline::{Abd, Klmw, Mr};
+use sbft_core::cluster::{ClusterBuilder, Protocol, RegisterCluster};
 use sbft_core::spec::OpKind;
 
 use crate::table::{f1, Table};
@@ -65,7 +63,7 @@ pub fn run_ours(f: usize, ops: u64, seed: u64) -> E7Cell {
     E7Cell {
         protocol: "bounded 5f+1 (this paper)".into(),
         f,
-        n: c.cfg.n,
+        n: c.cfg().n,
         msgs_per_op: c.metrics().messages_sent as f64 / (2.0 * ops as f64),
         write_latency: wl,
         read_latency: rl,
@@ -74,7 +72,7 @@ pub fn run_ours(f: usize, ops: u64, seed: u64) -> E7Cell {
 
 /// KLMW, fault-free.
 pub fn run_klmw(f: usize, ops: u64, seed: u64) -> E7Cell {
-    let mut c = KlmwCluster::new(f, 2, 0, seed);
+    let mut c = ClusterBuilder::new(Klmw::new(f, 0)).seed(seed).build();
     let (w, r) = (c.client(0), c.client(1));
     for i in 0..ops {
         c.write(w, i + 1).expect("write");
@@ -84,8 +82,8 @@ pub fn run_klmw(f: usize, ops: u64, seed: u64) -> E7Cell {
     E7Cell {
         protocol: "KLMW 3f+1".into(),
         f,
-        n: c.n,
-        msgs_per_op: c.messages_sent() as f64 / (2.0 * ops as f64),
+        n: c.protocol.servers(),
+        msgs_per_op: c.metrics().messages_sent as f64 / (2.0 * ops as f64),
         write_latency: wl,
         read_latency: rl,
     }
@@ -93,7 +91,7 @@ pub fn run_klmw(f: usize, ops: u64, seed: u64) -> E7Cell {
 
 /// Malkhi–Reiter safe register, fault-free (single-phase each way).
 pub fn run_mr(f: usize, ops: u64, seed: u64) -> E7Cell {
-    let mut c = MrCluster::new(f, 2, seed);
+    let mut c = ClusterBuilder::new(Mr::new(f)).seed(seed).build();
     let (w, r) = (c.client(0), c.client(1));
     for i in 0..ops {
         c.write(w, i + 1).expect("write");
@@ -103,8 +101,8 @@ pub fn run_mr(f: usize, ops: u64, seed: u64) -> E7Cell {
     E7Cell {
         protocol: "Malkhi-Reiter safe 5f".into(),
         f,
-        n: c.n,
-        msgs_per_op: c.messages_sent() as f64 / (2.0 * ops as f64),
+        n: c.protocol.servers(),
+        msgs_per_op: c.metrics().messages_sent as f64 / (2.0 * ops as f64),
         write_latency: wl,
         read_latency: rl,
     }
@@ -112,7 +110,7 @@ pub fn run_mr(f: usize, ops: u64, seed: u64) -> E7Cell {
 
 /// ABD, fault-free (crash budget `f`).
 pub fn run_abd(f: usize, ops: u64, seed: u64) -> E7Cell {
-    let mut c = AbdCluster::new(f, 2, seed);
+    let mut c = ClusterBuilder::new(Abd::new(f)).seed(seed).build();
     let (w, r) = (c.client(0), c.client(1));
     for i in 0..ops {
         c.write(w, i + 1).expect("write");
@@ -122,8 +120,8 @@ pub fn run_abd(f: usize, ops: u64, seed: u64) -> E7Cell {
     E7Cell {
         protocol: "ABD 2f+1 (crash-only)".into(),
         f,
-        n: c.n,
-        msgs_per_op: c.messages_sent() as f64 / (2.0 * ops as f64),
+        n: c.protocol.servers(),
+        msgs_per_op: c.metrics().messages_sent as f64 / (2.0 * ops as f64),
         write_latency: wl,
         read_latency: rl,
     }

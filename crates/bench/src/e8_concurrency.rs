@@ -12,7 +12,7 @@
 //! abort rate, and regularity violations. With the paper's settings
 //! (history ≥ churn, union on) violations must be zero.
 
-use sbft_core::cluster::{ClusterBuilder, RegisterCluster};
+use sbft_core::cluster::RegisterCluster;
 use sbft_core::config::ClusterConfig;
 use sbft_core::messages::ClientEvent;
 use sbft_core::reader::ReaderOptions;
@@ -54,7 +54,7 @@ pub fn run_cell(
     for seed in 0..seeds {
         let cfg = ClusterConfig::stabilizing(1).history(history_depth);
         let mut c: RegisterCluster<BoundedLabeling> =
-            ClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
+            RegisterCluster::with_config(cfg, BoundedLabeling::new(cfg.label_k()))
                 .clients(writers + 1)
                 .seed(seed)
                 .delay(DelayModel::uniform(1, 40))

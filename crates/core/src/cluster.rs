@@ -1,12 +1,27 @@
-//! One-call assembly of a register cluster, with blocking-style operation
-//! helpers and integrated history recording — the scenario driver shared by
-//! tests, examples, benches and the experiment harness.
+//! The scenario driver shared by tests, examples, benches and the
+//! experiment harness: one [`Cluster`] assembles a protocol's automata on a
+//! substrate, runs blocking-style operations, and records their history.
+//!
+//! A [`Protocol`] supplies only what differs between the paper's register,
+//! the key-value store and the classical baselines: the automata in pid
+//! order, how an operation is wrapped into a command for a key, and how the
+//! key and the terminal [`ClientEvent`] are read back out of an output.
+//! Everything else is written once here: substrate construction from one
+//! [`SubstrateConfig`], invocation timing, the await-and-record loop, the
+//! event→[`OpOutcome`] mapping, corruption and metrics.
 //!
 //! The driver is generic over the [`Substrate`] hosting the automata: the
 //! default is the deterministic [`Simulation`] (all correctness work), and
 //! the same scenarios run on the [`ThreadedCluster`] via
 //! [`ClusterBuilder::build_threaded`], or on a runtime-chosen backend via
 //! [`ClusterBuilder::backend`] + [`ClusterBuilder::build_any`].
+//!
+//! Surface that only some protocols have lives in impl blocks bounded by
+//! the traits below, because Rust allows inherent methods only in the crate
+//! that defines `Cluster`: single-register protocols get `write`/`read`,
+//! [`Stabilizing`] protocols (the register and the store built on it) take
+//! a retry policy, disks and transient corruption, and [`Store`] protocols
+//! are keyed and sharded.
 //!
 //! ```
 //! use sbft_core::cluster::RegisterCluster;
@@ -19,13 +34,16 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
+use rand::rngs::StdRng;
 use sbft_labels::{BoundedLabeling, LabelingSystem, MwmrLabeling, UnboundedLabeling};
 use sbft_net::corruption::FaultPlan;
 use sbft_net::nemesis::{AutomatonFactory, NemesisRunner, NemesisSchedule};
 use sbft_net::substrate::{AnySubstrate, Backend, Substrate, SubstrateConfig};
 use sbft_net::{
-    Automaton, CorruptionSeverity, DelayModel, NetMetrics, ProcessId, Simulation, ThreadedCluster,
+    Automaton, BatchPolicy, CorruptionSeverity, DelayModel, NetMetrics, ProcessId, Simulation,
+    ThreadedCluster,
 };
 use sbft_storage::DiskSet;
 
@@ -37,23 +55,30 @@ use crate::messages::{ClientEvent, Msg, Value};
 use crate::reader::ReaderOptions;
 use crate::retry::RetryPolicy;
 use crate::server::Server;
-use crate::spec::{HistoryRecorder, OpKind, RegularityError};
+use crate::spec::{group_verdicts, GroupVerdict, HistoryRecorder, OpKind, RegularityError};
 use crate::{Sys, Ts};
 
-/// The simulator substrate type for a labeling system `B`.
-pub type SimSubstrate<B> = Simulation<Msg<Ts<B>>, ClientEvent<Ts<B>>>;
-/// The threaded substrate type for a labeling system `B`.
-pub type ThreadedSubstrate<B> = ThreadedCluster<Msg<Ts<B>>, ClientEvent<Ts<B>>>;
-/// The runtime-chosen substrate type for a labeling system `B`.
-pub type AnyRegisterSubstrate<B> = AnySubstrate<Msg<Ts<B>>, ClientEvent<Ts<B>>>;
+/// The simulator substrate for protocol `P`.
+pub type SimSubstrate<P> = Simulation<<P as Protocol>::Msg, <P as Protocol>::Out>;
+/// The threaded substrate for protocol `P`.
+pub type ThreadedSubstrate<P> = ThreadedCluster<<P as Protocol>::Msg, <P as Protocol>::Out>;
+/// The runtime-chosen substrate for protocol `P`.
+pub type AnyClusterSubstrate<P> = AnySubstrate<<P as Protocol>::Msg, <P as Protocol>::Out>;
 
 /// Boxed automata in pid order, ready to hand to a substrate.
-type RegisterProcs<B> = Vec<Box<dyn Automaton<Msg<Ts<B>>, ClientEvent<Ts<B>>>>>;
+pub type Automata<P> = Vec<Box<dyn Automaton<<P as Protocol>::Msg, <P as Protocol>::Out>>>;
+
+/// A store's history: one recorder per key.
+pub type Recorders<B> = BTreeMap<u64, HistoryRecorder<B>>;
+
+/// The key type of protocol `P`'s commands: `()` for a single register.
+pub type KeyOf<P> = <<P as Protocol>::History as Histories<<P as Protocol>::Base>>::Key;
 
 /// Consecutive idle pumps (threaded runtime) before an operation is
 /// declared stuck. With the default pump timeout this bounds a blocking
-/// operation to a few wall-clock seconds.
-const MAX_IDLE_PUMPS: u32 = 50;
+/// operation to a few wall-clock seconds; the experiments' own load
+/// generators give up after the same count.
+pub const MAX_IDLE_PUMPS: u32 = 50;
 
 /// Why a blocking operation helper failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,6 +125,16 @@ impl<T> OpOutcome<T> {
             _ => None,
         }
     }
+
+    /// Map the success payload, keeping any failure as it is.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> OpOutcome<U> {
+        match self {
+            OpOutcome::Ok(v) => OpOutcome::Ok(f(v)),
+            OpOutcome::Aborted => OpOutcome::Aborted,
+            OpOutcome::TimedOut { attempts } => OpOutcome::TimedOut { attempts },
+            OpOutcome::Exhausted { attempts } => OpOutcome::Exhausted { attempts },
+        }
+    }
 }
 
 /// Map a terminal failure event onto the outcome taxonomy: a lone attempt
@@ -110,6 +145,47 @@ fn failure_outcome<T>(timed_out: bool, attempts: u32) -> OpOutcome<T> {
         OpOutcome::TimedOut { attempts }
     } else {
         OpOutcome::Exhausted { attempts }
+    }
+}
+
+/// The event→outcome mapping every protocol shares. Completions pass
+/// through as `Ok(event)`; failures are classified.
+fn outcome<T>(ev: ClientEvent<T>) -> OpOutcome<ClientEvent<T>> {
+    match ev {
+        ClientEvent::ReadAborted => OpOutcome::Aborted,
+        ClientEvent::ReadFailed { timed_out, attempts }
+        | ClientEvent::WriteFailed { timed_out, attempts, .. } => {
+            failure_outcome(timed_out, attempts)
+        }
+        done => OpOutcome::Ok(done),
+    }
+}
+
+/// The same mapping for the `Result` helpers: a read that ended on an
+/// abort is [`OpError::Aborted`], every other failure [`OpError::Stuck`].
+fn result<T>(ev: ClientEvent<T>) -> Result<ClientEvent<T>, OpError> {
+    match ev {
+        ClientEvent::ReadAborted | ClientEvent::ReadFailed { timed_out: false, .. } => {
+            Err(OpError::Aborted)
+        }
+        ClientEvent::ReadFailed { .. } | ClientEvent::WriteFailed { .. } => Err(OpError::Stuck),
+        done => Ok(done),
+    }
+}
+
+/// The timestamp a completed write installed.
+fn written<T: Debug>(ev: ClientEvent<T>) -> T {
+    match ev {
+        ClientEvent::WriteDone { ts, .. } => ts,
+        other => unreachable!("write terminated by non-write event {other:?}"),
+    }
+}
+
+/// What a completed read returned.
+fn read_ok<B: LabelingSystem>(ev: ClientEvent<Ts<B>>) -> ReadOk<B> {
+    match ev {
+        ClientEvent::ReadDone { value, ts, via_union } => ReadOk { value, ts, via_union },
+        other => unreachable!("read terminated by non-read event {other:?}"),
     }
 }
 
@@ -124,7 +200,8 @@ pub struct ReadOk<B: LabelingSystem> {
     pub via_union: bool,
 }
 
-/// An operation request for [`RegisterCluster::run_concurrent`].
+/// An operation request: what [`Cluster::invoke`] starts and
+/// [`Cluster::run_concurrent`] launches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// `write(value)`.
@@ -133,121 +210,151 @@ pub enum Op {
     Read,
 }
 
-/// Builder for a [`RegisterCluster`].
-pub struct ClusterBuilder<B: LabelingSystem> {
-    cfg: ClusterConfig,
-    base: B,
-    n_clients: usize,
-    byz: BTreeMap<usize, ByzStrategy>,
-    scripted: Vec<usize>,
-    hostile_clients: Vec<ByzReaderStrategy>,
-    seed: u64,
-    delay: DelayModel,
-    trace: usize,
-    reader_opts: ReaderOptions,
-    retry: RetryPolicy,
+impl Op {
+    /// The register command that starts this operation at a client.
+    pub fn command<T>(self) -> Msg<T> {
+        match self {
+            Op::Write(value) => Msg::InvokeWrite { value },
+            Op::Read => Msg::InvokeRead,
+        }
+    }
+}
+
+/// Where a protocol's recorded operations live: one recorder for a single
+/// register, one per key for a store.
+pub trait Histories<B: LabelingSystem>: Default {
+    /// What selects a recorder: `()` for a single register.
+    type Key: Copy;
+
+    /// The recorder for `key`, created on first use.
+    fn recorder(&mut self, key: Self::Key) -> &mut HistoryRecorder<B>;
+}
+
+impl<B: LabelingSystem> Histories<B> for HistoryRecorder<B> {
+    type Key = ();
+
+    fn recorder(&mut self, _key: ()) -> &mut HistoryRecorder<B> {
+        self
+    }
+}
+
+impl<B: LabelingSystem> Histories<B> for Recorders<B> {
+    type Key = u64;
+
+    fn recorder(&mut self, key: u64) -> &mut HistoryRecorder<B> {
+        self.entry(key).or_default()
+    }
+}
+
+/// What a protocol supplies to run under the shared driver.
+///
+/// Servers take pids `0..servers()` and the `clients` correct clients
+/// follow, so client `i` is pid `servers() + i` for every protocol.
+pub trait Protocol: Sized {
+    /// Base labeling system; timestamps are [`Ts`]`<Self::Base>`.
+    type Base: LabelingSystem;
+    /// Wire messages, including the environment's commands.
+    type Msg: Clone + Debug + Send + 'static;
+    /// Client outputs: a [`ClientEvent`], possibly tagged with a key.
+    type Out: Clone + Debug + Send + Into<ClientEvent<Ts<Self::Base>>> + 'static;
+    /// The recorded history.
+    type History: Histories<Self::Base>;
+
+    /// Max substrate events per blocking operation, unless overridden
+    /// through [`Cluster::op_budget`].
+    const OP_BUDGET: u64 = 400_000;
+
+    /// The MWMR labeling system the automata and the checker use.
+    fn sys(&self) -> Sys<Self::Base>;
+
+    /// Number of server processes.
+    fn servers(&self) -> usize;
+
+    /// Every automaton in pid order: the servers (durable ones on their
+    /// `disks`), then `clients` clients with `retry`, then any extras.
+    fn automata(
+        &self,
+        sys: &Sys<Self::Base>,
+        clients: usize,
+        retry: RetryPolicy,
+        disks: Option<&DiskSet>,
+    ) -> Automata<Self>;
+
+    /// The command that starts `op` on `key` at a client.
+    fn command(key: KeyOf<Self>, op: Op) -> Self::Msg;
+
+    /// The key an output belongs to and the client event it carries.
+    fn event(out: &Self::Out) -> (KeyOf<Self>, &ClientEvent<Ts<Self::Base>>);
+}
+
+/// The paper's protocol family — the register and the store built on it —
+/// assembled from cluster arithmetic and a base labeling system. Its
+/// clients honour a [`RetryPolicy`], its servers persist to disks, and any
+/// of its state may be transiently corrupted.
+pub trait Stabilizing: Protocol {
+    /// The protocol over `cfg` and base labeling system `base`.
+    fn with_config(cfg: ClusterConfig, base: Self::Base) -> Self;
+
+    /// Cluster arithmetic (of one server group).
+    fn cfg(&self) -> ClusterConfig;
+
+    /// One garbage message for a transient fault to load on a channel.
+    fn garbage(&self, sys: &Sys<Self::Base>, rng: &mut StdRng) -> Self::Msg;
+}
+
+/// A key-value store: commands carry a key, the history has one recorder
+/// per key, keys may be hash-partitioned over several server groups
+/// (shards), and clients may pipeline operations on distinct keys.
+pub trait Store: Stabilizing<History = Recorders<<Self as Protocol>::Base>> {
+    /// Partition the keyspace over `shards` server groups.
+    fn set_shards(&mut self, shards: usize);
+
+    /// Let every client keep up to `depth` operations in flight.
+    fn set_pipeline(&mut self, depth: usize);
+
+    /// The shard hosting `key`.
+    fn shard_of(&self, key: u64) -> usize;
+}
+
+/// Builder for a [`Cluster`].
+pub struct ClusterBuilder<P> {
+    protocol: P,
+    clients: usize,
+    substrate: SubstrateConfig,
     backend: Backend,
-    pump_timeout: Option<std::time::Duration>,
+    retry: RetryPolicy,
     durable: bool,
 }
 
-impl<B: LabelingSystem> ClusterBuilder<B> {
-    /// Start from a config and base labeling system.
-    pub fn new(cfg: ClusterConfig, base: B) -> Self {
+impl<P: Protocol> ClusterBuilder<P> {
+    /// Start from a protocol, with two clients, seed 0, uniform 1..=10
+    /// message delays and the simulator backend.
+    pub fn new(protocol: P) -> Self {
         Self {
-            cfg,
-            base,
-            n_clients: 2,
-            byz: BTreeMap::new(),
-            scripted: Vec::new(),
-            hostile_clients: Vec::new(),
-            seed: 0,
-            delay: DelayModel::uniform(1, 10),
-            trace: 0,
-            reader_opts: ReaderOptions::default(),
-            retry: RetryPolicy::none(),
+            protocol,
+            clients: 2,
+            substrate: SubstrateConfig::seeded(0).with_delay(DelayModel::uniform(1, 10)),
             backend: Backend::Sim,
-            pump_timeout: None,
+            retry: RetryPolicy::none(),
             durable: false,
         }
     }
 
-    /// Give every honest server a simulated disk: applied writes persist,
-    /// and the cluster can reboot crashed servers *from their own
-    /// (possibly damaged) storage* via
-    /// [`sbft_net::NemesisEvent::CrashRecover`] — see
-    /// [`RegisterCluster::disks`]. Disk seeds derive from the cluster
-    /// seed, so identical builds produce byte-identical disks on either
-    /// backend.
-    pub fn durable(mut self) -> Self {
-        self.durable = true;
-        self
-    }
-
     /// Number of clients to attach (default 2).
     pub fn clients(mut self, n: usize) -> Self {
-        self.n_clients = n.max(1);
+        self.clients = n.max(1);
         self
     }
 
-    /// Make server `idx` Byzantine with the given strategy.
-    pub fn byzantine(mut self, idx: usize, strategy: ByzStrategy) -> Self {
-        assert!(idx < self.cfg.n);
-        self.byz.insert(idx, strategy);
-        self
-    }
-
-    /// Make the *last* `f` servers Byzantine with one strategy.
-    pub fn byzantine_tail(mut self, strategy: ByzStrategy) -> Self {
-        for idx in self.cfg.n - self.cfg.f..self.cfg.n {
-            self.byz.insert(idx, strategy);
-        }
-        self
-    }
-
-    /// Make server `idx` a fully scripted (driver-controlled) adversary.
-    pub fn scripted(mut self, idx: usize) -> Self {
-        assert!(idx < self.cfg.n);
-        self.scripted.push(idx);
-        self
-    }
-
-    /// Attach a Byzantine (hostile) client after the correct clients. Its
-    /// pid is reported by [`RegisterCluster::hostile_client`]; kick it
-    /// with [`RegisterCluster::kick_hostile`] to emit traffic volleys.
-    pub fn hostile_client(mut self, strategy: ByzReaderStrategy) -> Self {
-        self.hostile_clients.push(strategy);
-        self
-    }
-
-    /// Simulation seed.
+    /// Substrate seed (disk seeds derive from it too).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.substrate.seed = seed;
         self
     }
 
     /// Message delay model (default uniform 1..=10; simulator only).
     pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Enable the substrate's debug trace.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace = capacity;
-        self
-    }
-
-    /// Reader ablation switches.
-    pub fn reader_options(mut self, opts: ReaderOptions) -> Self {
-        self.reader_opts = opts;
-        self
-    }
-
-    /// Retry/timeout/backoff policy for every correct client (default
-    /// [`RetryPolicy::none`]: single attempts, the historical behaviour).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
+        self.substrate.delay = delay;
         self
     }
 
@@ -262,112 +369,100 @@ impl<B: LabelingSystem> ClusterBuilder<B> {
     /// runtime only; default 100 ms). Open-loop drivers that pace arrivals
     /// between pumps want this close to the arrival interval.
     pub fn pump_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.pump_timeout = Some(timeout);
+        self.substrate.pump_timeout = timeout;
         self
     }
 
-    fn substrate_config(&self) -> SubstrateConfig {
-        let cfg = SubstrateConfig::seeded(self.seed).with_delay(self.delay).with_trace(self.trace);
-        match self.pump_timeout {
-            Some(t) => cfg.with_pump_timeout(t),
-            None => cfg,
-        }
-    }
-
-    /// The automata, in pid order, plus the hostile clients' pids and the
-    /// per-server disks (when the cluster is durable).
-    fn procs(&self) -> (RegisterProcs<B>, Vec<ProcessId>, Option<DiskSet>) {
-        let sys: Sys<B> = MwmrLabeling::new(self.base.clone());
-        let disks = self.durable.then(|| DiskSet::sim(self.cfg.n, self.seed ^ 0xD15C_D15C));
-        let mut procs: RegisterProcs<B> = Vec::new();
-        for s in 0..self.cfg.n {
-            if self.scripted.contains(&s) {
-                procs.push(Box::new(ScriptedServer::<B>::new(sys.clone())));
-            } else if let Some(&strategy) = self.byz.get(&s) {
-                // Adversaries don't persist: their seat's disk stays empty
-                // (or stale), which is itself a realistic recovery input.
-                procs.push(Box::new(ByzServer::new(sys.clone(), self.cfg, strategy)));
-            } else {
-                let mut server = Server::new(sys.clone(), self.cfg);
-                if let Some(disks) = &disks {
-                    server = server.with_disk(disks.get(s));
-                }
-                procs.push(Box::new(server));
-            }
-        }
-        for c in 0..self.n_clients {
-            let pid = self.cfg.client_pid(c);
-            procs.push(Box::new(Client::with_retry(
-                sys.clone(),
-                self.cfg,
-                pid as u32,
-                self.reader_opts,
-                self.retry,
-            )));
-        }
-        let mut hostile_pids = Vec::new();
-        for strategy in &self.hostile_clients {
-            hostile_pids.push(procs.len());
-            procs.push(Box::new(ByzClient::new(sys.clone(), self.cfg, *strategy)));
-        }
-        (procs, hostile_pids, disks)
-    }
-
-    fn assemble<S>(
-        self,
-        sim: S,
-        hostile_pids: Vec<ProcessId>,
-        disks: Option<DiskSet>,
-    ) -> RegisterCluster<B, S> {
-        RegisterCluster {
-            sim,
-            cfg: self.cfg,
-            sys: MwmrLabeling::new(self.base.clone()),
-            n_clients: self.n_clients,
-            hostile_pids,
-            recorder: HistoryRecorder::new(),
-            op_budget: 400_000,
+    fn assemble<S>(self, spawn: impl FnOnce(Automata<P>, &SubstrateConfig) -> S) -> Cluster<P, S> {
+        let sys = self.protocol.sys();
+        let disks = self
+            .durable
+            .then(|| DiskSet::sim(self.protocol.servers(), self.substrate.seed ^ 0xD15C_D15C));
+        let automata = self.protocol.automata(&sys, self.clients, self.retry, disks.as_ref());
+        Cluster {
+            sim: spawn(automata, &self.substrate),
+            protocol: self.protocol,
+            sys,
+            recorder: P::History::default(),
+            op_budget: P::OP_BUDGET,
             disks,
+            clients: self.clients,
         }
     }
 
     /// Assemble the cluster on the deterministic simulator.
-    pub fn build(self) -> RegisterCluster<B> {
-        let (procs, hostile_pids, disks) = self.procs();
-        let sim = Simulation::from_procs(procs, &self.substrate_config());
-        self.assemble(sim, hostile_pids, disks)
+    pub fn build(self) -> Cluster<P> {
+        self.assemble(Simulation::from_procs)
     }
 
     /// Assemble the cluster on the threaded runtime.
-    pub fn build_threaded(self) -> RegisterCluster<B, ThreadedSubstrate<B>> {
-        let (procs, hostile_pids, disks) = self.procs();
-        let sub = ThreadedCluster::spawn_with(procs, &self.substrate_config());
-        self.assemble(sub, hostile_pids, disks)
+    pub fn build_threaded(self) -> Cluster<P, ThreadedSubstrate<P>> {
+        self.assemble(ThreadedCluster::spawn_with)
     }
 
     /// Assemble the cluster on the backend chosen with
     /// [`ClusterBuilder::backend`].
-    pub fn build_any(self) -> RegisterCluster<B, AnyRegisterSubstrate<B>> {
-        let (procs, hostile_pids, disks) = self.procs();
-        let sub = AnySubstrate::spawn(self.backend, procs, &self.substrate_config());
-        self.assemble(sub, hostile_pids, disks)
+    pub fn build_any(self) -> Cluster<P, AnyClusterSubstrate<P>> {
+        let backend = self.backend;
+        self.assemble(|automata, config| AnySubstrate::spawn(backend, automata, config))
     }
 }
 
-/// A register cluster (servers + clients + recorder) on a substrate `S` —
+impl<P: Stabilizing> ClusterBuilder<P> {
+    /// Retry/timeout/backoff policy for every correct client (default
+    /// [`RetryPolicy::none`]: single attempts, the historical behaviour).
+    pub fn retry(mut self, policy: RetryPolicy) -> Self {
+        self.retry = policy;
+        self
+    }
+
+    /// Give every honest server a simulated disk: applied writes persist,
+    /// and a crashed server can be rebooted *from its own (possibly
+    /// damaged) storage* — see [`Cluster::disks`]. Disk seeds derive from
+    /// the cluster seed, so identical builds produce byte-identical disks
+    /// on either backend.
+    pub fn durable(mut self) -> Self {
+        self.durable = true;
+        self
+    }
+}
+
+impl<P: Store> ClusterBuilder<P> {
+    /// Hash-partition the keyspace over `s` independent `5f + 1` server
+    /// groups (default 1 — the classic single-group store). Each shard is
+    /// its own unit of placement and fault isolation.
+    pub fn shards(mut self, s: usize) -> Self {
+        self.protocol.set_shards(s);
+        self
+    }
+
+    /// Let every client pipeline up to `depth` concurrent operations on
+    /// distinct keys (default 1 — strictly sequential).
+    pub fn pipeline(mut self, depth: usize) -> Self {
+        self.protocol.set_pipeline(depth);
+        self
+    }
+
+    /// Coalesce same-link messages into batched wire frames under
+    /// `policy` (default [`BatchPolicy::disabled`]).
+    pub fn batch(mut self, policy: BatchPolicy) -> Self {
+        self.substrate.batch = policy;
+        self
+    }
+}
+
+/// A protocol's cluster (servers + clients + history) on a substrate `S` —
 /// the simulator by default.
-pub struct RegisterCluster<B: LabelingSystem, S = SimSubstrate<B>> {
+pub struct Cluster<P: Protocol, S = SimSubstrate<P>> {
     /// The underlying substrate (exposed for schedule steering when `S` is
     /// the simulator).
     pub sim: S,
-    /// Cluster arithmetic.
-    pub cfg: ClusterConfig,
+    /// The protocol the cluster was built from.
+    pub protocol: P,
     /// The MWMR labeling system in use.
-    pub sys: Sys<B>,
-    n_clients: usize,
-    hostile_pids: Vec<ProcessId>,
+    pub sys: Sys<P::Base>,
     /// Operation history (public so experiments can inspect records).
-    pub recorder: HistoryRecorder<B>,
+    pub recorder: P::History,
     /// Max substrate events per blocking operation.
     pub op_budget: u64,
     /// Per-server stable storage, when built with
@@ -376,59 +471,58 @@ pub struct RegisterCluster<B: LabelingSystem, S = SimSubstrate<B>> {
     /// crashed server's disk and rebuild the automaton from it — and
     /// parity tests can compare disk digests across substrates.
     pub disks: Option<DiskSet>,
+    clients: usize,
 }
 
-impl RegisterCluster<BoundedLabeling> {
+/// Record one client output into the history; returns the closed op's
+/// index when the output was terminal for an open op.
+fn record<P: Protocol>(
+    history: &mut P::History,
+    time: u64,
+    pid: ProcessId,
+    out: &P::Out,
+) -> Option<usize> {
+    let (key, ev) = P::event(out);
+    history.recorder(key).complete(pid, time, ev)
+}
+
+impl<P: Stabilizing> Cluster<P> {
+    /// Builder over explicit cluster arithmetic and base labeling system.
+    pub fn with_config(cfg: ClusterConfig, base: P::Base) -> ClusterBuilder<P> {
+        ClusterBuilder::new(P::with_config(cfg, base))
+    }
+}
+
+impl<P: Stabilizing<Base = BoundedLabeling>> Cluster<P> {
     /// Builder for the paper's protocol: bounded labels, `n = 5f + 1`.
-    pub fn bounded(f: usize) -> ClusterBuilder<BoundedLabeling> {
-        let cfg = ClusterConfig::stabilizing(f);
-        ClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
+    pub fn bounded(f: usize) -> ClusterBuilder<P> {
+        Self::bounded_with_n(5 * f + 1, f)
     }
 
     /// Builder with explicit `n` (e.g. `n = 5f` for the lower bound).
-    pub fn bounded_with_n(n: usize, f: usize) -> ClusterBuilder<BoundedLabeling> {
+    pub fn bounded_with_n(n: usize, f: usize) -> ClusterBuilder<P> {
         let cfg = ClusterConfig::with_n(n, f);
-        ClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
+        Self::with_config(cfg, BoundedLabeling::new(cfg.label_k()))
     }
 }
 
-impl RegisterCluster<UnboundedLabeling> {
+impl<P: Stabilizing<Base = UnboundedLabeling>> Cluster<P> {
     /// Builder for the same protocol over unbounded timestamps (used by
     /// E6 to isolate the effect of boundedness).
-    pub fn unbounded(f: usize) -> ClusterBuilder<UnboundedLabeling> {
-        let cfg = ClusterConfig::stabilizing(f);
-        ClusterBuilder::new(cfg, UnboundedLabeling)
+    pub fn unbounded(f: usize) -> ClusterBuilder<P> {
+        Self::with_config(ClusterConfig::stabilizing(f), UnboundedLabeling)
     }
 }
 
-impl<B, S> RegisterCluster<B, S>
+impl<P, S> Cluster<P, S>
 where
-    B: LabelingSystem,
-    S: Substrate<Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+    P: Protocol,
+    S: Substrate<P::Msg, P::Out>,
 {
-    /// Pid of the `i`-th client.
+    /// Pid of the `i`-th client (clients sit after every server).
     pub fn client(&self, i: usize) -> ProcessId {
-        assert!(i < self.n_clients, "client {i} not attached");
-        self.cfg.client_pid(i)
-    }
-
-    /// Number of attached clients.
-    pub fn client_count(&self) -> usize {
-        self.n_clients
-    }
-
-    /// Pid of the `i`-th hostile (Byzantine) client.
-    pub fn hostile_client(&self, i: usize) -> ProcessId {
-        self.hostile_pids[i]
-    }
-
-    /// Kick every hostile client once (each kick triggers a volley of
-    /// hostile traffic; server replies re-trigger throttled volleys).
-    pub fn kick_hostile(&mut self) {
-        for i in 0..self.hostile_pids.len() {
-            let pid = self.hostile_pids[i];
-            self.sim.inject(pid, Msg::InvokeRead);
-        }
+        assert!(i < self.clients, "client {i} not attached");
+        self.protocol.servers() + i
     }
 
     /// Which backend the cluster runs on.
@@ -446,6 +540,12 @@ where
         self.sim.metrics_snapshot()
     }
 
+    /// Tear down the substrate (joins worker threads on the threaded
+    /// backend; no-op beyond queue draining on the simulator).
+    pub fn stop(&mut self) {
+        self.sim.stop();
+    }
+
     /// The instant to record for an operation invoked now. On the
     /// simulator this is `now + 1`: the command reaches the client only
     /// after at least one tick of channel delay, so an operation completing
@@ -461,141 +561,129 @@ where
         }
     }
 
-    /// Non-blocking: start a write on `client`.
-    pub fn invoke_write(&mut self, client: ProcessId, value: Value) {
-        self.recorder.begin_with_intent(client, OpKind::Write, self.invoke_time(), Some(value));
-        self.sim.inject(client, Msg::InvokeWrite { value });
-    }
-
-    /// Non-blocking: start a read on `client` (timing as for writes).
-    pub fn invoke_read(&mut self, client: ProcessId) {
-        self.recorder.begin(client, OpKind::Read, self.invoke_time());
-        self.sim.inject(client, Msg::InvokeRead);
+    /// Non-blocking: start `op` on `key` at `client`, recording its
+    /// invocation (with a write's intended value, so a read that returns
+    /// the value of a write that never completes is still explained).
+    pub fn invoke(&mut self, client: ProcessId, key: KeyOf<P>, op: Op) {
+        let (kind, intent) = match op {
+            Op::Write(value) => (OpKind::Write, Some(value)),
+            Op::Read => (OpKind::Read, None),
+        };
+        let now = self.invoke_time();
+        self.recorder.recorder(key).begin_with_intent(client, kind, now, intent);
+        self.sim.inject(client, P::command(key, op));
     }
 
     /// Pump the substrate until `client` emits a terminal event (recording
     /// every event from every client along the way).
-    pub fn await_client(&mut self, client: ProcessId) -> Result<ClientEvent<Ts<B>>, OpError> {
+    pub fn await_client(&mut self, client: ProcessId) -> Result<P::Out, OpError> {
         let recorder = &mut self.recorder;
         self.sim
             .pump_until(self.op_budget, MAX_IDLE_PUMPS, &mut |time, pid, out| {
-                recorder.complete(pid, time, &out);
+                record::<P>(recorder, time, pid, &out);
                 (pid == client).then_some(out)
             })
             .ok_or(OpError::Stuck)
     }
 
-    /// Blocking write: returns the installed timestamp.
-    pub fn write(&mut self, client: ProcessId, value: Value) -> Result<Ts<B>, OpError> {
-        self.invoke_write(client, value);
-        match self.await_client(client)? {
-            ClientEvent::WriteDone { ts, .. } => Ok(ts),
-            ClientEvent::WriteFailed { .. } => Err(OpError::Stuck),
-            other => unreachable!("write terminated by non-write event {other:?}"),
-        }
+    /// Blocking: run `op` on `key` to `client`'s terminal event.
+    fn run_result(&mut self, client: ProcessId, key: KeyOf<P>, op: Op) -> OpResult<P> {
+        self.invoke(client, key, op);
+        result(self.await_client(client)?.into())
     }
 
-    /// Blocking read.
-    pub fn read(&mut self, client: ProcessId) -> Result<ReadOk<B>, OpError> {
-        self.invoke_read(client);
-        match self.await_client(client)? {
-            ClientEvent::ReadDone { value, ts, via_union } => Ok(ReadOk { value, ts, via_union }),
-            ClientEvent::ReadAborted => Err(OpError::Aborted),
-            ClientEvent::ReadFailed { timed_out: false, .. } => Err(OpError::Aborted),
-            ClientEvent::ReadFailed { timed_out: true, .. } => Err(OpError::Stuck),
-            other => unreachable!("read terminated by non-read event {other:?}"),
-        }
-    }
-
-    /// Blocking write under the retry policy, reporting the typed outcome
-    /// instead of an error — the chaos-experiment surface.
-    pub fn write_outcome(&mut self, client: ProcessId, value: Value) -> OpOutcome<Ts<B>> {
-        self.invoke_write(client, value);
+    /// Blocking under the retry policy, reporting the typed outcome.
+    fn run_outcome(&mut self, client: ProcessId, key: KeyOf<P>, op: Op) -> OpOutcomeOf<P> {
+        self.invoke(client, key, op);
         match self.await_client(client) {
-            Ok(ClientEvent::WriteDone { ts, .. }) => OpOutcome::Ok(ts),
-            Ok(ClientEvent::WriteFailed { timed_out, attempts, .. }) => {
-                failure_outcome(timed_out, attempts)
-            }
-            Ok(other) => unreachable!("write terminated by non-write event {other:?}"),
+            Ok(out) => outcome(out.into()),
             Err(_) => OpOutcome::TimedOut { attempts: 0 },
         }
-    }
-
-    /// Blocking read under the retry policy, reporting the typed outcome.
-    pub fn read_outcome(&mut self, client: ProcessId) -> OpOutcome<ReadOk<B>> {
-        self.invoke_read(client);
-        match self.await_client(client) {
-            Ok(ClientEvent::ReadDone { value, ts, via_union }) => {
-                OpOutcome::Ok(ReadOk { value, ts, via_union })
-            }
-            Ok(ClientEvent::ReadAborted) => OpOutcome::Aborted,
-            Ok(ClientEvent::ReadFailed { timed_out, attempts }) => {
-                failure_outcome(timed_out, attempts)
-            }
-            Ok(other) => unreachable!("read terminated by non-read event {other:?}"),
-            Err(_) => OpOutcome::TimedOut { attempts: 0 },
-        }
-    }
-
-    /// Launch several operations concurrently (one per distinct client
-    /// index) and run until each has terminated (or the budget runs out).
-    /// Returns the terminal event per client index, in input order.
-    pub fn run_concurrent(&mut self, ops: &[(usize, Op)]) -> Vec<Option<ClientEvent<Ts<B>>>> {
-        let mut pending: BTreeMap<ProcessId, usize> = BTreeMap::new();
-        for (slot, &(ci, op)) in ops.iter().enumerate() {
-            let pid = self.client(ci);
-            assert!(pending.insert(pid, slot).is_none(), "one concurrent op per client");
-            match op {
-                Op::Write(v) => self.invoke_write(pid, v),
-                Op::Read => self.invoke_read(pid),
-            }
-        }
-        let mut results: Vec<Option<ClientEvent<Ts<B>>>> = vec![None; ops.len()];
-        let recorder = &mut self.recorder;
-        self.sim.pump_until(self.op_budget, MAX_IDLE_PUMPS, &mut |time, pid, out| {
-            recorder.complete(pid, time, &out);
-            if let Some(slot) = pending.remove(&pid) {
-                results[slot] = Some(out);
-            }
-            pending.is_empty().then_some(())
-        });
-        results
     }
 
     /// Let in-flight background traffic (late replies, forwards) drain.
     pub fn settle(&mut self, max_events: u64) {
         let recorder = &mut self.recorder;
         self.sim.pump_until(max_events, 1, &mut |time, pid, out| {
-            recorder.complete(pid, time, &out);
+            record::<P>(recorder, time, pid, &out);
             None::<()>
         });
     }
 
-    /// Transient fault: corrupt the local state of **all** servers and
-    /// clients and load garbage messages on every server-adjacent channel.
-    pub fn corrupt_everything(&mut self, severity: CorruptionSeverity) {
-        let total = self.cfg.n + self.n_clients;
-        let plan = FaultPlan::total(total, severity);
-        self.apply_plan(&plan);
+    /// Record one externally-observed client output into the history — the
+    /// spec hook for drivers that step the substrate *themselves* (the
+    /// schedule explorer) instead of going through the pump helpers above.
+    /// Returns the closed op's index when `out` was terminal for an open
+    /// op, so callers can re-check regularity exactly when the history
+    /// grew.
+    pub fn observe_event(&mut self, time: u64, pid: ProcessId, out: &P::Out) -> Option<usize> {
+        record::<P>(&mut self.recorder, time, pid, out)
+    }
+}
+
+/// A blocking operation's terminal event, or why there was none.
+type OpResult<P> = Result<ClientEvent<Ts<<P as Protocol>::Base>>, OpError>;
+/// A blocking operation's terminal event under the outcome taxonomy.
+type OpOutcomeOf<P> = OpOutcome<ClientEvent<Ts<<P as Protocol>::Base>>>;
+
+/// Single-register protocols: the paper's register and the baselines.
+impl<B, P, S> Cluster<P, S>
+where
+    B: LabelingSystem,
+    P: Protocol<Base = B, History = HistoryRecorder<B>>,
+    S: Substrate<P::Msg, P::Out>,
+{
+    /// Non-blocking: start a write on `client`.
+    pub fn invoke_write(&mut self, client: ProcessId, value: Value) {
+        self.invoke(client, (), Op::Write(value));
     }
 
-    /// Transient fault hitting only the listed servers.
-    pub fn corrupt_servers(&mut self, victims: &[usize], severity: CorruptionSeverity) {
-        let plan = FaultPlan::targeting(victims, self.cfg.n + self.n_clients, severity);
-        self.apply_plan(&plan);
+    /// Non-blocking: start a read on `client` (timing as for writes).
+    pub fn invoke_read(&mut self, client: ProcessId) {
+        self.invoke(client, (), Op::Read);
     }
 
-    fn apply_plan(&mut self, plan: &FaultPlan) {
-        let sys = self.sys.clone();
-        let cfg = self.cfg;
-        let mut gen = move |rng: &mut rand::rngs::StdRng| random_message::<B>(&sys, &cfg, rng);
-        self.sim.apply_fault(plan, &mut gen);
+    /// Blocking write: returns the installed timestamp.
+    pub fn write(&mut self, client: ProcessId, value: Value) -> Result<Ts<B>, OpError> {
+        self.run_result(client, (), Op::Write(value)).map(written)
     }
 
-    /// Tear down the substrate (joins worker threads on the threaded
-    /// backend; no-op beyond queue draining on the simulator).
-    pub fn stop(&mut self) {
-        self.sim.stop();
+    /// Blocking read.
+    pub fn read(&mut self, client: ProcessId) -> Result<ReadOk<B>, OpError> {
+        self.run_result(client, (), Op::Read).map(read_ok)
+    }
+
+    /// Blocking write under the retry policy, reporting the typed outcome
+    /// instead of an error — the chaos-experiment surface.
+    pub fn write_outcome(&mut self, client: ProcessId, value: Value) -> OpOutcome<Ts<B>> {
+        self.run_outcome(client, (), Op::Write(value)).map(written)
+    }
+
+    /// Blocking read under the retry policy, reporting the typed outcome.
+    pub fn read_outcome(&mut self, client: ProcessId) -> OpOutcome<ReadOk<B>> {
+        self.run_outcome(client, (), Op::Read).map(read_ok)
+    }
+
+    /// Launch several operations concurrently (one per distinct client
+    /// index) and run until each has terminated (or the budget runs out).
+    /// Returns the terminal event per client index, in input order.
+    pub fn run_concurrent(&mut self, ops: &[(usize, Op)]) -> Vec<Option<P::Out>> {
+        let mut pending: BTreeMap<ProcessId, usize> = BTreeMap::new();
+        for (slot, &(ci, op)) in ops.iter().enumerate() {
+            let pid = self.client(ci);
+            assert!(pending.insert(pid, slot).is_none(), "one concurrent op per client");
+            self.invoke(pid, (), op);
+        }
+        let mut results: Vec<Option<P::Out>> = vec![None; ops.len()];
+        let recorder = &mut self.recorder;
+        self.sim.pump_until(self.op_budget, MAX_IDLE_PUMPS, &mut |time, pid, out| {
+            record::<P>(recorder, time, pid, &out);
+            if let Some(slot) = pending.remove(&pid) {
+                results[slot] = Some(out);
+            }
+            pending.is_empty().then_some(())
+        });
+        results
     }
 
     /// Check the whole recorded history against MWMR regularity.
@@ -607,19 +695,266 @@ where
     pub fn check_history_from(&self, t: u64) -> Result<(), Vec<RegularityError>> {
         self.recorder.check_from(&self.sys, t)
     }
+}
 
-    /// Record one externally-observed client event into the history — the
-    /// spec hook for drivers that step the substrate *themselves* (the
-    /// schedule explorer) instead of going through the pump helpers above.
-    /// Returns the closed op's index when `ev` was terminal for an open op,
-    /// so callers can re-check regularity exactly when the history grew.
-    pub fn observe_event(
+impl<P, S> Cluster<P, S>
+where
+    P: Stabilizing,
+    S: Substrate<P::Msg, P::Out>,
+{
+    /// Cluster arithmetic (of one server group).
+    pub fn cfg(&self) -> ClusterConfig {
+        self.protocol.cfg()
+    }
+
+    /// Transient fault: corrupt the local state of **all** servers and
+    /// clients and load garbage messages on every server-adjacent channel.
+    pub fn corrupt_everything(&mut self, severity: CorruptionSeverity) {
+        let plan = FaultPlan::total(self.protocol.servers() + self.clients, severity);
+        self.apply_plan(&plan);
+    }
+
+    fn apply_plan(&mut self, plan: &FaultPlan) {
+        let (protocol, sys) = (&self.protocol, &self.sys);
+        self.sim.apply_fault(plan, &mut |rng| protocol.garbage(sys, rng));
+    }
+}
+
+/// Keyed stores: blocking `put`/`get` and per-key verdicts.
+impl<P, S> Cluster<P, S>
+where
+    P: Store,
+    S: Substrate<P::Msg, P::Out>,
+{
+    /// Blocking `put(key, value)`.
+    pub fn put(
         &mut self,
-        time: u64,
-        pid: ProcessId,
-        ev: &ClientEvent<Ts<B>>,
-    ) -> Option<usize> {
-        self.recorder.complete(pid, time, ev)
+        client: ProcessId,
+        key: u64,
+        value: Value,
+    ) -> Result<Ts<P::Base>, OpError> {
+        self.run_result(client, key, Op::Write(value)).map(written)
+    }
+
+    /// Blocking `get(key)`.
+    pub fn get(&mut self, client: ProcessId, key: u64) -> Result<Value, OpError> {
+        self.run_result(client, key, Op::Read).map(|ev| read_ok::<P::Base>(ev).value)
+    }
+
+    /// Blocking `put` under the retry policy, reporting the typed outcome
+    /// instead of an error.
+    pub fn put_outcome(
+        &mut self,
+        client: ProcessId,
+        key: u64,
+        value: Value,
+    ) -> OpOutcome<Ts<P::Base>> {
+        self.run_outcome(client, key, Op::Write(value)).map(written)
+    }
+
+    /// Blocking `get` under the retry policy, reporting the typed outcome.
+    pub fn get_outcome(&mut self, client: ProcessId, key: u64) -> OpOutcome<Value> {
+        self.run_outcome(client, key, Op::Read).map(|ev| read_ok::<P::Base>(ev).value)
+    }
+
+    /// Check one key's history against MWMR regularity.
+    pub fn check_key(&self, key: u64) -> Result<(), Vec<RegularityError>> {
+        self.recorder.get(&key).map_or(Ok(()), |rec| rec.check(&self.sys))
+    }
+
+    /// Check every key's history; `Err` maps keys to their violations.
+    pub fn check_all_histories(&self) -> Result<(), BTreeMap<u64, Vec<RegularityError>>> {
+        self.check_all_from(0)
+    }
+
+    /// Check every key's suffix from `t` (post-stabilization verdict).
+    pub fn check_all_from(&self, t: u64) -> Result<(), BTreeMap<u64, Vec<RegularityError>>> {
+        let bad: BTreeMap<_, _> = self
+            .recorder
+            .iter()
+            .filter_map(|(&key, rec)| rec.check_from(&self.sys, t).err().map(|errs| (key, errs)))
+            .collect();
+        if bad.is_empty() {
+            Ok(())
+        } else {
+            Err(bad)
+        }
+    }
+
+    /// Fold every key's regularity verdict by hosting shard: how many keys
+    /// each shard served and how many violations its histories carry. A
+    /// shard with zero violations is regular as a unit — fault isolation
+    /// means a Byzantine or crashed neighbour shard cannot change that.
+    pub fn check_per_shard(&self) -> BTreeMap<usize, GroupVerdict> {
+        group_verdicts(
+            self.recorder
+                .iter()
+                .map(|(&key, rec)| (self.protocol.shard_of(key), rec.check(&self.sys))),
+        )
+    }
+}
+
+/// The paper's MWMR regular register (Figures 1–3): `n` servers — honest,
+/// Byzantine or scripted per seat — then the correct clients, then any
+/// hostile (Byzantine) clients.
+pub struct Register<B: LabelingSystem> {
+    cfg: ClusterConfig,
+    base: B,
+    byz: BTreeMap<usize, ByzStrategy>,
+    scripted: Vec<usize>,
+    hostile: Vec<ByzReaderStrategy>,
+    reader_opts: ReaderOptions,
+}
+
+/// A register cluster on a substrate `S` — the simulator by default.
+pub type RegisterCluster<B, S = SimSubstrate<Register<B>>> = Cluster<Register<B>, S>;
+
+impl<B: LabelingSystem> Protocol for Register<B> {
+    type Base = B;
+    type Msg = Msg<Ts<B>>;
+    type Out = ClientEvent<Ts<B>>;
+    type History = HistoryRecorder<B>;
+
+    fn sys(&self) -> Sys<B> {
+        MwmrLabeling::new(self.base.clone())
+    }
+
+    fn servers(&self) -> usize {
+        self.cfg.n
+    }
+
+    fn automata(
+        &self,
+        sys: &Sys<B>,
+        clients: usize,
+        retry: RetryPolicy,
+        disks: Option<&DiskSet>,
+    ) -> Automata<Self> {
+        let mut procs: Automata<Self> = Vec::new();
+        for s in 0..self.cfg.n {
+            if self.scripted.contains(&s) {
+                procs.push(Box::new(ScriptedServer::<B>::new(sys.clone())));
+            } else if let Some(&strategy) = self.byz.get(&s) {
+                // Adversaries don't persist: their seat's disk stays empty
+                // (or stale), which is itself a realistic recovery input.
+                procs.push(Box::new(ByzServer::new(sys.clone(), self.cfg, strategy)));
+            } else {
+                let mut server = Server::new(sys.clone(), self.cfg);
+                if let Some(disks) = disks {
+                    server = server.with_disk(disks.get(s));
+                }
+                procs.push(Box::new(server));
+            }
+        }
+        for c in 0..clients {
+            let pid = self.cfg.client_pid(c);
+            procs.push(Box::new(Client::with_retry(
+                sys.clone(),
+                self.cfg,
+                pid as u32,
+                self.reader_opts,
+                retry,
+            )));
+        }
+        for strategy in &self.hostile {
+            procs.push(Box::new(ByzClient::new(sys.clone(), self.cfg, *strategy)));
+        }
+        procs
+    }
+
+    fn command(_key: (), op: Op) -> Self::Msg {
+        op.command()
+    }
+
+    fn event(out: &Self::Out) -> ((), &Self::Out) {
+        ((), out)
+    }
+}
+
+impl<B: LabelingSystem> Stabilizing for Register<B> {
+    fn with_config(cfg: ClusterConfig, base: B) -> Self {
+        Self {
+            cfg,
+            base,
+            byz: BTreeMap::new(),
+            scripted: Vec::new(),
+            hostile: Vec::new(),
+            reader_opts: ReaderOptions::default(),
+        }
+    }
+
+    fn cfg(&self) -> ClusterConfig {
+        self.cfg
+    }
+
+    fn garbage(&self, sys: &Sys<B>, rng: &mut StdRng) -> Self::Msg {
+        random_message::<B>(sys, &self.cfg, rng)
+    }
+}
+
+impl<B: LabelingSystem> ClusterBuilder<Register<B>> {
+    /// Make server `idx` Byzantine with the given strategy.
+    pub fn byzantine(mut self, idx: usize, strategy: ByzStrategy) -> Self {
+        assert!(idx < self.protocol.cfg.n);
+        self.protocol.byz.insert(idx, strategy);
+        self
+    }
+
+    /// Make the *last* `f` servers Byzantine with one strategy.
+    pub fn byzantine_tail(mut self, strategy: ByzStrategy) -> Self {
+        let cfg = self.protocol.cfg;
+        for idx in cfg.n - cfg.f..cfg.n {
+            self.protocol.byz.insert(idx, strategy);
+        }
+        self
+    }
+
+    /// Make server `idx` a fully scripted (driver-controlled) adversary.
+    pub fn scripted(mut self, idx: usize) -> Self {
+        assert!(idx < self.protocol.cfg.n);
+        self.protocol.scripted.push(idx);
+        self
+    }
+
+    /// Attach a Byzantine (hostile) client after the correct clients. Its
+    /// pid is reported by [`Cluster::hostile_client`]; kick it with
+    /// [`Cluster::kick_hostile`] to emit traffic volleys.
+    pub fn hostile_client(mut self, strategy: ByzReaderStrategy) -> Self {
+        self.protocol.hostile.push(strategy);
+        self
+    }
+
+    /// Reader ablation switches.
+    pub fn reader_options(mut self, opts: ReaderOptions) -> Self {
+        self.protocol.reader_opts = opts;
+        self
+    }
+}
+
+impl<B, S> Cluster<Register<B>, S>
+where
+    B: LabelingSystem,
+    S: Substrate<Msg<Ts<B>>, ClientEvent<Ts<B>>>,
+{
+    /// Transient fault hitting only the listed servers.
+    pub fn corrupt_servers(&mut self, victims: &[usize], severity: CorruptionSeverity) {
+        let plan = FaultPlan::targeting(victims, self.protocol.cfg.n + self.clients, severity);
+        self.apply_plan(&plan);
+    }
+
+    /// Pid of the `i`-th hostile (Byzantine) client.
+    pub fn hostile_client(&self, i: usize) -> ProcessId {
+        assert!(i < self.protocol.hostile.len(), "hostile client {i} not attached");
+        self.protocol.cfg.n + self.clients + i
+    }
+
+    /// Kick every hostile client once (each kick triggers a volley of
+    /// hostile traffic; server replies re-trigger throttled volleys).
+    pub fn kick_hostile(&mut self) {
+        for i in 0..self.protocol.hostile.len() {
+            let pid = self.hostile_client(i);
+            self.sim.inject(pid, Msg::InvokeRead);
+        }
     }
 
     /// Build a [`NemesisRunner`] wired to this cluster: honest restarts
@@ -636,7 +971,7 @@ where
         byz_seats: Vec<ProcessId>,
         strat: ByzStrategy,
     ) -> NemesisRunner<Msg<Ts<B>>, ClientEvent<Ts<B>>> {
-        let cfg = self.cfg;
+        let cfg = self.protocol.cfg;
         let sys_h = self.sys.clone();
         let make_honest: AutomatonFactory<Msg<Ts<B>>, ClientEvent<Ts<B>>> = Box::new(move |_pid| {
             Box::new(Server::new(sys_h.clone(), cfg)) as Box<dyn Automaton<_, _>>
@@ -669,7 +1004,7 @@ where
 
 /// Simulator-only surface: typed state inspection requires in-process
 /// access to the automata, which threads cannot share.
-impl<B: LabelingSystem> RegisterCluster<B, SimSubstrate<B>> {
+impl<B: LabelingSystem> RegisterCluster<B> {
     /// Typed access to an honest server's state (None for adversaries).
     pub fn server_state(&mut self, idx: usize) -> Option<&mut Server<B>> {
         self.sim.process_mut(idx).as_any_mut()?.downcast_mut::<Server<B>>()
@@ -689,7 +1024,7 @@ impl<B: LabelingSystem> RegisterCluster<B, SimSubstrate<B>> {
     /// Count of honest servers currently storing `(value, ts)` — the
     /// Lemma 2 propagation measurement of experiment E3.
     pub fn servers_storing(&mut self, value: Value, ts: &Ts<B>) -> usize {
-        let n = self.cfg.n;
+        let n = self.protocol.cfg.n;
         (0..n)
             .filter(|&s| {
                 self.server_state(s).map(|srv| srv.value == value && &srv.ts == ts).unwrap_or(false)
@@ -734,9 +1069,9 @@ mod tests {
             let ts = c.write(w, v).unwrap();
             let stored = c.servers_storing(v, &ts);
             assert!(
-                stored >= c.cfg.propagation_bound(),
+                stored >= c.cfg().propagation_bound(),
                 "write {v}: {stored} servers < 3f+1 = {}",
-                c.cfg.propagation_bound()
+                c.cfg().propagation_bound()
             );
         }
     }
@@ -912,8 +1247,12 @@ mod tests {
             let w = c.client(0);
             for v in 1..=9 {
                 c.write(w, v).unwrap();
+                // The slowest server's timestamp reply can outlive its
+                // write and join the next write's quorum, changing the
+                // label that write picks. Drain it so the labels, and so
+                // the disk bytes, do not depend on thread timing.
+                c.settle(200_000);
             }
-            c.settle(200_000);
             let d = c.disks.clone().unwrap().digests();
             c.stop();
             d
@@ -935,5 +1274,20 @@ mod tests {
         }
         assert!(c.check_history_from(t_stable).is_ok());
         c.stop();
+    }
+
+    #[test]
+    fn hostile_clients_sit_after_the_correct_clients() {
+        let mut c = RegisterCluster::bounded(1)
+            .clients(2)
+            .hostile_client(ByzReaderStrategy::all()[0])
+            .seed(24)
+            .build();
+        assert_eq!(c.hostile_client(0), c.client(1) + 1);
+        assert_eq!(c.sim.process_count(), c.cfg().n + 3);
+        c.kick_hostile();
+        let w = c.client(0);
+        c.write(w, 5).unwrap();
+        assert_eq!(c.read(c.client(1)).unwrap().value, 5);
     }
 }

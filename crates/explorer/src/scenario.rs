@@ -23,7 +23,7 @@
 //! determines the execution — exactly what key-sequence replay requires.
 
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::{RegisterCluster, SimSubstrate};
+use sbft_core::cluster::RegisterCluster;
 use sbft_core::reader::ReaderOptions;
 use sbft_labels::{BoundedLabeling, LabelingSystem};
 use sbft_net::{DelayModel, EventKey};
@@ -131,7 +131,7 @@ impl Scenario for RegisterScenario {
 /// A running register scenario: a sim-backed cluster whose recorder grows
 /// as the explorer completes operations.
 pub struct RegisterRun {
-    cluster: RegisterCluster<B, SimSubstrate<B>>,
+    cluster: RegisterCluster<B>,
 }
 
 impl ScenarioRun for RegisterRun {

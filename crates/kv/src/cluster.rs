@@ -1,9 +1,9 @@
-//! The store driver: blocking `put`/`get` with per-key history recording.
+//! The store protocol under the shared driver: blocking `put`/`get` with
+//! per-key history recording.
 //!
-//! Like the register driver, the store is generic over the [`Substrate`]
-//! hosting the automata — the deterministic simulator by default, real
-//! threads via [`KvClusterBuilder::build_threaded`], or a runtime choice
-//! via [`KvClusterBuilder::backend`] + [`KvClusterBuilder::build_any`].
+//! [`KvCluster`] is [`sbft_core::cluster::Cluster`] over [`Kv`], so it runs
+//! on the deterministic simulator by default, on real threads via
+//! `build_threaded`, or on a runtime choice via `backend` + `build_any`.
 //!
 //! ```
 //! use sbft_kv::KvCluster;
@@ -17,22 +17,16 @@
 //! assert!(store.check_all_histories().is_ok());
 //! ```
 
-use std::collections::BTreeMap;
-
+use rand::rngs::StdRng;
+use rand::Rng;
 use sbft_core::adversary::random_message;
-use sbft_core::cluster::OpOutcome;
+use sbft_core::cluster::{Automata, Cluster, Op, Protocol, Recorders, SimSubstrate};
+use sbft_core::cluster::{Stabilizing, Store};
 use sbft_core::config::ClusterConfig;
-use sbft_core::messages::{ClientEvent, Value};
+use sbft_core::messages::ClientEvent;
 use sbft_core::reader::ReaderOptions;
-use sbft_core::spec::{group_verdicts, GroupVerdict, HistoryRecorder, OpKind, RegularityError};
 use sbft_core::{RetryPolicy, Sys, Ts};
-use sbft_labels::{BoundedLabeling, LabelingSystem, MwmrLabeling};
-use sbft_net::corruption::FaultPlan;
-use sbft_net::substrate::{AnySubstrate, Backend, Substrate, SubstrateConfig};
-use sbft_net::{
-    Automaton, BatchPolicy, CorruptionSeverity, DelayModel, NetMetrics, ProcessId, Simulation,
-    ThreadedCluster,
-};
+use sbft_labels::{LabelingSystem, MwmrLabeling};
 use sbft_storage::DiskSet;
 
 use crate::client::KvClient;
@@ -40,448 +34,124 @@ use crate::messages::{Key, KvEvent, KvMsg};
 use crate::server::KvServer;
 use crate::shard::{ShardRouter, ShardedClient, ShardedServer};
 
-/// The simulator substrate type for the store.
-pub type KvSimSubstrate<B> = Simulation<KvMsg<Ts<B>>, KvEvent<Ts<B>>>;
-/// The threaded substrate type for the store.
-pub type KvThreadedSubstrate<B> = ThreadedCluster<KvMsg<Ts<B>>, KvEvent<Ts<B>>>;
-/// The runtime-chosen substrate type for the store.
-pub type AnyKvSubstrate<B> = AnySubstrate<KvMsg<Ts<B>>, KvEvent<Ts<B>>>;
-
-/// Boxed automata in pid order, ready to hand to a substrate.
-type KvProcs<B> = Vec<Box<dyn Automaton<KvMsg<Ts<B>>, KvEvent<Ts<B>>>>>;
-
-/// Consecutive idle pumps (threaded runtime) before an op is stuck.
-const MAX_IDLE_PUMPS: u32 = 50;
-
-/// Why a store operation failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KvError {
-    /// Read aborted (register in a transitory phase).
-    Aborted,
-    /// Simulation drained / budget exhausted before completion.
-    Stuck,
-}
-
-/// Map a terminal failure event onto the [`OpOutcome`] taxonomy (mirrors
-/// the register driver's rule: a lone attempt dying on its deadline is a
-/// timeout; anything that burned retries is exhaustion).
-fn failure_outcome<T>(timed_out: bool, attempts: u32) -> OpOutcome<T> {
-    if timed_out && attempts <= 1 {
-        OpOutcome::TimedOut { attempts }
-    } else {
-        OpOutcome::Exhausted { attempts }
-    }
-}
-
-/// Builder for a [`KvCluster`].
-pub struct KvClusterBuilder<B: LabelingSystem> {
+/// The key-value store: every key an independent register of the paper's
+/// protocol, over one `5f + 1` server group or several (shards).
+pub struct Kv<B: LabelingSystem> {
     cfg: ClusterConfig,
     base: B,
-    n_clients: usize,
-    seed: u64,
-    delay: DelayModel,
-    retry: RetryPolicy,
-    backend: Backend,
-    pump_timeout: Option<std::time::Duration>,
-    durable: bool,
-    shards: usize,
+    /// Key → shard placement (one shard unless the builder asked for more).
+    pub router: ShardRouter,
     pipeline: usize,
-    batch: BatchPolicy,
-}
-
-impl<B: LabelingSystem> KvClusterBuilder<B> {
-    /// Start from a config and base labeling system.
-    pub fn new(cfg: ClusterConfig, base: B) -> Self {
-        Self {
-            cfg,
-            base,
-            n_clients: 2,
-            seed: 0,
-            delay: DelayModel::uniform(1, 10),
-            retry: RetryPolicy::none(),
-            backend: Backend::Sim,
-            pump_timeout: None,
-            durable: false,
-            shards: 1,
-            pipeline: 1,
-            batch: BatchPolicy::disabled(),
-        }
-    }
-
-    /// Hash-partition the keyspace over `s` independent `5f + 1` server
-    /// groups (default 1 — the classic single-group store). Each shard is
-    /// its own unit of placement and fault isolation.
-    pub fn shards(mut self, s: usize) -> Self {
-        self.shards = s.max(1);
-        self
-    }
-
-    /// Let every client pipeline up to `depth` concurrent operations on
-    /// distinct keys (default 1 — strictly sequential, the original
-    /// discipline).
-    pub fn pipeline(mut self, depth: usize) -> Self {
-        self.pipeline = depth.max(1);
-        self
-    }
-
-    /// Coalesce same-link messages into batched wire frames under
-    /// `policy` (default [`BatchPolicy::disabled`]).
-    pub fn batch(mut self, policy: BatchPolicy) -> Self {
-        self.batch = policy;
-        self
-    }
-
-    /// Give every storage node a simulated stable disk (per-pid seeds
-    /// derived from the cluster seed, as in the register cluster), so
-    /// nodes can be rebooted from their own — possibly damaged — disks
-    /// via [`KvServer::recover`].
-    pub fn durable(mut self) -> Self {
-        self.durable = true;
-        self
-    }
-
-    /// Number of clients (default 2).
-    pub fn clients(mut self, n: usize) -> Self {
-        self.n_clients = n.max(1);
-        self
-    }
-
-    /// Simulation seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Delay model (simulator only).
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Retry/timeout/backoff policy for every client (default
-    /// [`RetryPolicy::none`]).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Select the runtime used by [`KvClusterBuilder::build_any`].
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Longest one threaded `pump` blocks before reporting idle (threaded
-    /// runtime only; default 100 ms). Open-loop drivers that pace arrivals
-    /// between pumps want this close to the arrival interval.
-    pub fn pump_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.pump_timeout = Some(timeout);
-        self
-    }
-
-    fn substrate_config(&self) -> SubstrateConfig {
-        let cfg =
-            SubstrateConfig::seeded(self.seed).with_delay(self.delay).with_batching(self.batch);
-        match self.pump_timeout {
-            Some(t) => cfg.with_pump_timeout(t),
-            None => cfg,
-        }
-    }
-
-    fn procs(&self) -> (KvProcs<B>, Option<DiskSet>) {
-        let sys: Sys<B> = MwmrLabeling::new(self.base.clone());
-        let router = ShardRouter::new(self.cfg, self.shards);
-        let disks =
-            self.durable.then(|| DiskSet::sim(router.total_servers(), self.seed ^ 0xD15C_D15C));
-        let mut procs: KvProcs<B> = Vec::new();
-        if self.shards == 1 {
-            // The classic single-group store: unwrapped automata, exactly
-            // the layout every pre-sharding experiment runs on.
-            for s in 0..self.cfg.n {
-                let server = KvServer::new(sys.clone(), self.cfg);
-                procs.push(match &disks {
-                    Some(d) => Box::new(server.with_disk(d.get(s))),
-                    None => Box::new(server),
-                });
-            }
-            for c in 0..self.n_clients {
-                let pid = self.cfg.client_pid(c);
-                procs.push(Box::new(self.client_automaton(&sys, pid)));
-            }
-        } else {
-            for shard in 0..self.shards {
-                for pid in router.server_pids(shard) {
-                    let server = KvServer::new(sys.clone(), self.cfg);
-                    let server = match &disks {
-                        Some(d) => server.with_disk(d.get(pid)),
-                        None => server,
-                    };
-                    procs.push(Box::new(ShardedServer::new(server, router, shard)));
-                }
-            }
-            for c in 0..self.n_clients {
-                // The inner client keeps its local writer identity n + c —
-                // unique per client, independent of the shard count.
-                let inner = self.client_automaton(&sys, self.cfg.client_pid(c));
-                procs.push(Box::new(ShardedClient::new(inner, router)));
-            }
-        }
-        (procs, disks)
-    }
-
-    fn client_automaton(&self, sys: &Sys<B>, writer_pid: ProcessId) -> KvClient<B> {
-        KvClient::with_retry(
-            sys.clone(),
-            self.cfg,
-            writer_pid as u32,
-            ReaderOptions::default(),
-            self.retry,
-        )
-        .with_pipeline(self.pipeline)
-    }
-
-    fn assemble<S>(self, sim: S, disks: Option<DiskSet>) -> KvCluster<B, S> {
-        KvCluster {
-            sim,
-            cfg: self.cfg,
-            sys: MwmrLabeling::new(self.base.clone()),
-            router: ShardRouter::new(self.cfg, self.shards),
-            n_clients: self.n_clients,
-            recorders: BTreeMap::new(),
-            op_budget: 400_000,
-            disks,
-        }
-    }
-
-    /// Assemble the store on the deterministic simulator.
-    pub fn build(self) -> KvCluster<B> {
-        let (procs, disks) = self.procs();
-        let sim = Simulation::from_procs(procs, &self.substrate_config());
-        self.assemble(sim, disks)
-    }
-
-    /// Assemble the store on the threaded runtime.
-    pub fn build_threaded(self) -> KvCluster<B, KvThreadedSubstrate<B>> {
-        let (procs, disks) = self.procs();
-        let sub = ThreadedCluster::spawn_with(procs, &self.substrate_config());
-        self.assemble(sub, disks)
-    }
-
-    /// Assemble the store on the backend chosen with
-    /// [`KvClusterBuilder::backend`].
-    pub fn build_any(self) -> KvCluster<B, AnyKvSubstrate<B>> {
-        let (procs, disks) = self.procs();
-        let sub = AnySubstrate::spawn(self.backend, procs, &self.substrate_config());
-        self.assemble(sub, disks)
-    }
 }
 
 /// A key-value store on a substrate `S` — the simulator by default.
-pub struct KvCluster<B: LabelingSystem, S = KvSimSubstrate<B>> {
-    /// Underlying substrate.
-    pub sim: S,
-    /// Cluster arithmetic.
-    pub cfg: ClusterConfig,
-    /// The labeling system.
-    pub sys: Sys<B>,
-    /// Key → shard placement (one shard unless the builder asked for more).
-    pub router: ShardRouter,
-    n_clients: usize,
-    /// One history per key.
-    pub recorders: BTreeMap<Key, HistoryRecorder<B>>,
-    /// Max events per blocking op.
-    pub op_budget: u64,
-    /// Per-server stable disks when the builder asked for durability.
-    pub disks: Option<DiskSet>,
-}
+pub type KvCluster<B, S = SimSubstrate<Kv<B>>> = Cluster<Kv<B>, S>;
 
-impl KvCluster<BoundedLabeling> {
-    /// The paper's configuration: bounded labels, `n = 5f + 1`.
-    pub fn bounded(f: usize) -> KvClusterBuilder<BoundedLabeling> {
-        let cfg = ClusterConfig::stabilizing(f);
-        KvClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
+impl<B: LabelingSystem> Kv<B> {
+    fn client_automaton(&self, sys: &Sys<B>, c: usize, retry: RetryPolicy) -> KvClient<B> {
+        // The client's writer identity n + c is unique per client,
+        // independent of the shard count.
+        let writer = self.cfg.client_pid(c) as u32;
+        KvClient::with_retry(sys.clone(), self.cfg, writer, ReaderOptions::default(), retry)
+            .with_pipeline(self.pipeline)
     }
 }
 
-impl<B, S> KvCluster<B, S>
-where
-    B: LabelingSystem,
-    S: Substrate<KvMsg<Ts<B>>, KvEvent<Ts<B>>>,
-{
-    /// Pid of client `i` (clients sit after every shard's servers).
-    pub fn client(&self, i: usize) -> ProcessId {
-        assert!(i < self.n_clients);
-        self.router.client_pid(i)
+impl<B: LabelingSystem> Protocol for Kv<B> {
+    type Base = B;
+    type Msg = KvMsg<Ts<B>>;
+    type Out = KvEvent<Ts<B>>;
+    type History = Recorders<B>;
+
+    fn sys(&self) -> Sys<B> {
+        MwmrLabeling::new(self.base.clone())
     }
 
-    /// Which backend the store runs on.
-    pub fn backend(&self) -> Backend {
-        self.sim.backend()
+    fn servers(&self) -> usize {
+        self.router.total_servers()
     }
 
-    /// Snapshot of the network metrics so far.
-    pub fn metrics(&self) -> NetMetrics {
-        self.sim.metrics_snapshot()
-    }
-
-    fn recorder(&mut self, key: Key) -> &mut HistoryRecorder<B> {
-        self.recorders.entry(key).or_default()
-    }
-
-    fn await_client(&mut self, client: ProcessId) -> Result<KvEvent<Ts<B>>, KvError> {
-        let recorders = &mut self.recorders;
-        self.sim
-            .pump_until(self.op_budget, MAX_IDLE_PUMPS, &mut |time, pid, out: KvEvent<Ts<B>>| {
-                recorders.entry(out.key).or_default().complete(pid, time, &out.inner);
-                (pid == client).then_some(out)
-            })
-            .ok_or(KvError::Stuck)
-    }
-
-    /// The instant to record for an operation invoked now: `now + 1` on
-    /// the simulator (commands arrive after one tick of channel delay),
-    /// `now` exactly on wall-clock ticks where the `+1` would manufacture
-    /// false precedence edges.
-    fn invoke_time(&self) -> u64 {
-        match self.sim.backend() {
-            Backend::Sim => self.sim.now() + 1,
-            Backend::Threaded => self.sim.now(),
-        }
-    }
-
-    /// Blocking `put(key, value)`.
-    pub fn put(&mut self, client: ProcessId, key: Key, value: Value) -> Result<Ts<B>, KvError> {
-        let now = self.invoke_time();
-        self.recorder(key).begin_with_intent(client, OpKind::Write, now, Some(value));
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeWrite { value }));
-        match self.await_client(client)? {
-            KvEvent { inner: ClientEvent::WriteDone { ts, .. }, .. } => Ok(ts),
-            _ => Err(KvError::Stuck),
-        }
-    }
-
-    /// Blocking `get(key)`.
-    pub fn get(&mut self, client: ProcessId, key: Key) -> Result<Value, KvError> {
-        let now = self.invoke_time();
-        self.recorder(key).begin(client, OpKind::Read, now);
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeRead));
-        match self.await_client(client)? {
-            KvEvent { inner: ClientEvent::ReadDone { value, .. }, .. } => Ok(value),
-            KvEvent { inner: ClientEvent::ReadAborted, .. } => Err(KvError::Aborted),
-            KvEvent { inner: ClientEvent::ReadFailed { timed_out: false, .. }, .. } => {
-                Err(KvError::Aborted)
+    fn automata(
+        &self,
+        sys: &Sys<B>,
+        clients: usize,
+        retry: RetryPolicy,
+        disks: Option<&DiskSet>,
+    ) -> Automata<Self> {
+        let mut procs: Automata<Self> = Vec::new();
+        let server = |pid| {
+            let server = KvServer::new(sys.clone(), self.cfg);
+            match disks {
+                Some(d) => server.with_disk(d.get(pid)),
+                None => server,
             }
-            _ => Err(KvError::Stuck),
-        }
-    }
-
-    /// Blocking `put` under the retry policy, reporting the typed outcome
-    /// instead of an error.
-    pub fn put_outcome(&mut self, client: ProcessId, key: Key, value: Value) -> OpOutcome<Ts<B>> {
-        let now = self.invoke_time();
-        self.recorder(key).begin_with_intent(client, OpKind::Write, now, Some(value));
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeWrite { value }));
-        match self.await_client(client) {
-            Ok(KvEvent { inner: ClientEvent::WriteDone { ts, .. }, .. }) => OpOutcome::Ok(ts),
-            Ok(KvEvent { inner: ClientEvent::WriteFailed { timed_out, attempts, .. }, .. }) => {
-                failure_outcome(timed_out, attempts)
-            }
-            _ => OpOutcome::TimedOut { attempts: 0 },
-        }
-    }
-
-    /// Blocking `get` under the retry policy, reporting the typed outcome.
-    pub fn get_outcome(&mut self, client: ProcessId, key: Key) -> OpOutcome<Value> {
-        let now = self.invoke_time();
-        self.recorder(key).begin(client, OpKind::Read, now);
-        self.sim.inject(client, KvMsg::new(key, sbft_core::messages::Msg::InvokeRead));
-        match self.await_client(client) {
-            Ok(KvEvent { inner: ClientEvent::ReadDone { value, .. }, .. }) => OpOutcome::Ok(value),
-            Ok(KvEvent { inner: ClientEvent::ReadAborted, .. }) => OpOutcome::Aborted,
-            Ok(KvEvent { inner: ClientEvent::ReadFailed { timed_out, attempts }, .. }) => {
-                failure_outcome(timed_out, attempts)
-            }
-            _ => OpOutcome::TimedOut { attempts: 0 },
-        }
-    }
-
-    /// Transient fault on the whole store (all nodes, clients, channels).
-    pub fn corrupt_everything(&mut self, severity: CorruptionSeverity) {
-        let total = self.router.total_servers() + self.n_clients;
-        let plan = FaultPlan::total(total, severity);
-        let sys = self.sys.clone();
-        let cfg = self.cfg;
-        let mut gen = move |rng: &mut rand::rngs::StdRng| {
-            let key = rand::Rng::gen_range(rng, 0..4u64);
-            KvMsg::new(key, random_message::<B>(&sys, &cfg, rng))
         };
-        self.sim.apply_fault(&plan, &mut gen);
-    }
-
-    /// Tear down the substrate (joins worker threads on threads).
-    pub fn stop(&mut self) {
-        self.sim.stop();
-    }
-
-    /// Check one key's history against MWMR regularity.
-    pub fn check_history(&self, key: Key) -> Result<(), Vec<RegularityError>> {
-        match self.recorders.get(&key) {
-            Some(rec) => rec.check(&self.sys),
-            None => Ok(()),
-        }
-    }
-
-    /// Check every key's history; `Err` maps keys to their violations.
-    pub fn check_all_histories(&self) -> Result<(), BTreeMap<Key, Vec<RegularityError>>> {
-        let mut bad = BTreeMap::new();
-        for (&key, rec) in &self.recorders {
-            if let Err(errs) = rec.check(&self.sys) {
-                bad.insert(key, errs);
+        if self.router.shards() == 1 {
+            // The classic single-group store: unwrapped automata, exactly
+            // the layout every pre-sharding experiment runs on.
+            for pid in 0..self.cfg.n {
+                procs.push(Box::new(server(pid)));
+            }
+            for c in 0..clients {
+                procs.push(Box::new(self.client_automaton(sys, c, retry)));
+            }
+        } else {
+            for shard in 0..self.router.shards() {
+                for pid in self.router.server_pids(shard) {
+                    procs.push(Box::new(ShardedServer::new(server(pid), self.router, shard)));
+                }
+            }
+            for c in 0..clients {
+                let inner = self.client_automaton(sys, c, retry);
+                procs.push(Box::new(ShardedClient::new(inner, self.router)));
             }
         }
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
-        }
+        procs
     }
 
-    /// Fold every key's regularity verdict by hosting shard: how many keys
-    /// each shard served and how many violations its histories carry. A
-    /// shard with zero violations is regular as a unit — fault isolation
-    /// means a Byzantine or crashed neighbour shard cannot change that.
-    pub fn check_per_shard(&self) -> BTreeMap<usize, GroupVerdict> {
-        group_verdicts(
-            self.recorders
-                .iter()
-                .map(|(&key, rec)| (self.router.shard_of(key), rec.check(&self.sys))),
-        )
+    fn command(key: Key, op: Op) -> Self::Msg {
+        KvMsg::new(key, op.command())
     }
 
-    /// Check every key's suffix from `t` (post-stabilization verdict).
-    pub fn check_all_from(&self, t: u64) -> Result<(), BTreeMap<Key, Vec<RegularityError>>> {
-        let mut bad = BTreeMap::new();
-        for (&key, rec) in &self.recorders {
-            if let Err(errs) = rec.check_from(&self.sys, t) {
-                bad.insert(key, errs);
-            }
-        }
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
-        }
+    fn event(out: &Self::Out) -> (Key, &ClientEvent<Ts<B>>) {
+        (out.key, &out.inner)
+    }
+}
+
+impl<B: LabelingSystem> Stabilizing for Kv<B> {
+    fn with_config(cfg: ClusterConfig, base: B) -> Self {
+        Self { cfg, base, router: ShardRouter::new(cfg, 1), pipeline: 1 }
     }
 
-    /// Current time: virtual (simulator) or elapsed ticks (threads).
-    pub fn now(&self) -> u64 {
-        self.sim.now()
+    fn cfg(&self) -> ClusterConfig {
+        self.cfg
+    }
+
+    fn garbage(&self, sys: &Sys<B>, rng: &mut StdRng) -> Self::Msg {
+        let key = rng.gen_range(0..4u64);
+        KvMsg::new(key, random_message::<B>(sys, &self.cfg, rng))
+    }
+}
+
+impl<B: LabelingSystem> Store for Kv<B> {
+    fn set_shards(&mut self, shards: usize) {
+        self.router = ShardRouter::new(self.cfg, shards);
+    }
+
+    fn set_pipeline(&mut self, depth: usize) {
+        self.pipeline = depth.max(1);
+    }
+
+    fn shard_of(&self, key: Key) -> usize {
+        self.router.shard_of(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbft_core::cluster::OpOutcome;
+    use sbft_net::{Backend, CorruptionSeverity, Substrate};
 
     #[test]
     fn independent_keys_round_trip() {
@@ -515,7 +185,7 @@ mod tests {
             store.put(c, 9, v).unwrap();
         }
         assert_eq!(store.get(c, 9).unwrap(), 5);
-        assert!(store.check_history(9).is_ok());
+        assert!(store.check_key(9).is_ok());
     }
 
     #[test]
@@ -539,7 +209,7 @@ mod tests {
         let mut store = KvCluster::bounded(1).seed(5).build();
         let c = store.client(0);
         assert_eq!(store.get(c, 777).unwrap(), 0);
-        assert!(store.check_history(777).is_ok());
+        assert!(store.check_key(777).is_ok());
     }
 
     #[test]
@@ -579,7 +249,7 @@ mod tests {
         store.sim.crash(0);
         let disk = disks.get(0);
         disk.crash(DiskFault::LostSuffix);
-        let recovered = KvServer::recover(store.sys.clone(), store.cfg, disk);
+        let recovered = KvServer::recover(store.sys.clone(), store.cfg(), disk);
         assert!(recovered.key_count() >= 1, "nothing salvaged from the disk");
         store.sim.restart_with(0, Box::new(recovered));
         // The store keeps serving with the rebooted node back in the pool.

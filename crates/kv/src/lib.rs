@@ -17,12 +17,14 @@
 //! * [`client::KvClient`] holds one register-client state per key
 //!   (read-label pools and `recent_vals` caches are per key, as the
 //!   protocol's bookkeeping requires).
-//! * [`cluster::KvCluster`] is the driver: blocking `put`/`get`, one
-//!   history recorder per key, and the per-key regularity verdicts.
+//! * [`cluster::Kv`] is the store as a protocol of the shared
+//!   [`sbft_core::cluster::Cluster`] driver; [`KvCluster`] is that driver
+//!   over it: blocking `put`/`get`, one history recorder per key, and the
+//!   per-key and per-shard regularity verdicts.
 //! * [`shard::ShardRouter`] optionally hash-partitions the keyspace over
 //!   several independent `5f + 1` server groups ("shards" — each its own
 //!   unit of placement and fault isolation), behind the same facade:
-//!   [`KvClusterBuilder::shards`](cluster::KvClusterBuilder::shards) is
+//!   [`ClusterBuilder::shards`](sbft_core::cluster::ClusterBuilder::shards) is
 //!   the only knob, and clients, retries, nemesis schedules, and spec
 //!   checking are untouched.
 //!
@@ -40,6 +42,6 @@ pub mod messages;
 pub mod server;
 pub mod shard;
 
-pub use cluster::KvCluster;
+pub use cluster::{Kv, KvCluster};
 pub use messages::{Key, KvEvent, KvMsg};
 pub use shard::{ShardRouter, ShardedClient, ShardedServer};

@@ -30,6 +30,12 @@ pub struct KvEvent<T> {
     pub inner: ClientEvent<T>,
 }
 
+impl<T> From<KvEvent<T>> for ClientEvent<T> {
+    fn from(ev: KvEvent<T>) -> Self {
+        ev.inner
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

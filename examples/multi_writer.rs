@@ -11,7 +11,7 @@
 
 use sbft::labels::BoundedLabeling;
 use sbft::net::DelayModel;
-use sbft::register::cluster::{ClusterBuilder, RegisterCluster};
+use sbft::register::cluster::RegisterCluster;
 use sbft::register::config::ClusterConfig;
 use sbft::register::messages::ClientEvent;
 use sbft::register::reader::ReaderOptions;
@@ -22,7 +22,7 @@ fn main() {
 
     let cfg = ClusterConfig::stabilizing(1);
     let mut cluster: RegisterCluster<BoundedLabeling> =
-        ClusterBuilder::new(cfg, BoundedLabeling::new(cfg.label_k()))
+        RegisterCluster::with_config(cfg, BoundedLabeling::new(cfg.label_k()))
             .clients(WRITERS + 1)
             .seed(77)
             .delay(DelayModel::uniform(1, 40)) // wide asynchrony

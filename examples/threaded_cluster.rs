@@ -17,7 +17,7 @@ fn main() {
     let mut cluster = RegisterCluster::bounded(1).clients(CLIENTS).seed(9).build_threaded();
     println!(
         "spawned {} server threads + {CLIENTS} client threads (backend: {:?})",
-        cluster.cfg.n,
+        cluster.cfg().n,
         cluster.backend()
     );
 

@@ -17,7 +17,7 @@ fn pump_two(
         let now = store.sim.now() + 1;
         match op {
             Some(v) => {
-                store.recorders.entry(key).or_default().begin_with_intent(
+                store.recorder.entry(key).or_default().begin_with_intent(
                     pid,
                     OpKind::Write,
                     now,
@@ -26,7 +26,7 @@ fn pump_two(
                 store.sim.inject(pid, sbft::kv::KvMsg::new(key, Msg::InvokeWrite { value: v }));
             }
             None => {
-                store.recorders.entry(key).or_default().begin(pid, OpKind::Read, now);
+                store.recorder.entry(key).or_default().begin(pid, OpKind::Read, now);
                 store.sim.inject(pid, sbft::kv::KvMsg::new(key, Msg::InvokeRead));
             }
         }
@@ -38,7 +38,7 @@ fn pump_two(
         budget -= 1;
         let (time, pid) = (ev.time, ev.pid);
         for out in ev.outputs {
-            store.recorders.entry(out.key).or_default().complete(pid, time, &out.inner);
+            store.recorder.entry(out.key).or_default().complete(pid, time, &out.inner);
             if pid == a.0 || pid == b.0 {
                 done.push((pid, out));
             }
@@ -87,7 +87,7 @@ fn concurrent_writers_across_shards_stay_regular() {
     // succeeds: the Fibonacci hash spreads consecutive keys widely).
     let key_a = 0u64;
     let key_b = (1..64u64)
-        .find(|k| store.router.shard_of(*k) != store.router.shard_of(key_a))
+        .find(|k| store.protocol.router.shard_of(*k) != store.protocol.router.shard_of(key_a))
         .expect("some key must land on another shard");
     // Truly concurrent puts served by two disjoint server groups.
     let evs = pump_two(&mut store, (a, key_a, Some(111)), (b, key_b, Some(222)));

@@ -17,8 +17,8 @@ fn crashing_one_shard_leaves_the_others_serving() {
     // Crash two servers of one shard: 4 of n = 6 alive is below the
     // n - f = 5 quorum, so that shard can no longer complete operations.
     let doomed_key = 3u64;
-    let victim = store.router.shard_of(doomed_key);
-    for pid in store.router.server_pids(victim).take(2) {
+    let victim = store.protocol.router.shard_of(doomed_key);
+    for pid in store.protocol.router.server_pids(victim).take(2) {
         store.sim.crash(pid);
     }
     // Fire an op at the wedged shard from client b, bypassing the blocking
@@ -27,7 +27,7 @@ fn crashing_one_shard_leaves_the_others_serving() {
     // Every key on a surviving shard still round-trips through client a.
     let mut survivors = 0;
     for key in 0..8u64 {
-        if store.router.shard_of(key) == victim {
+        if store.protocol.router.shard_of(key) == victim {
             continue;
         }
         survivors += 1;
@@ -49,15 +49,15 @@ fn partitioning_one_shard_from_a_client_leaves_other_shards_reachable() {
         store.put(c, key, 10 + key).unwrap();
     }
     // Cut the client off from every server of one shard, both directions.
-    let victim = store.router.shard_of(0);
-    for pid in store.router.server_pids(victim) {
+    let victim = store.protocol.router.shard_of(0);
+    for pid in store.protocol.router.server_pids(victim) {
         store.sim.set_link_fault(c, pid, Some(LinkFault::cut()));
         store.sim.set_link_fault(pid, c, Some(LinkFault::cut()));
     }
     // Keys placed on the other shard are untouched by the partition.
     let mut reachable = 0;
     for key in 0..6u64 {
-        if store.router.shard_of(key) == victim {
+        if store.protocol.router.shard_of(key) == victim {
             continue;
         }
         reachable += 1;

@@ -25,7 +25,7 @@ fn run_rejoin(backend: Backend, seed: u64) {
         .backend(backend)
         .retry(RetryPolicy::chaos())
         .build_any();
-    let total_procs = c.cfg.n + 2;
+    let total_procs = c.cfg().n + 2;
     let schedule =
         NemesisSchedule::scripted(vec![(2_000, NemesisEvent::MoveByz { from: byz_seat, to: 2 })]);
     let mut runner = c
@@ -131,7 +131,7 @@ fn vacated_seat_restarts_honest() {
         .seed(3)
         .retry(RetryPolicy::chaos())
         .build();
-    let total_procs = c.cfg.n + 2;
+    let total_procs = c.cfg().n + 2;
     let schedule =
         NemesisSchedule::scripted(vec![(1_000, NemesisEvent::MoveByz { from: byz_seat, to: 0 })]);
     let mut runner = c

@@ -251,13 +251,13 @@ fn chaos_trace(seed: u64) -> (Vec<(u64, String)>, Vec<String>, u64, u64) {
     let mut c =
         RegisterCluster::bounded(1).clients(2).seed(seed).retry(RetryPolicy::chaos()).build();
     let opts = NemesisOpts {
-        servers: c.cfg.n,
-        total_procs: c.cfg.n + 2,
+        servers: c.cfg().n,
+        total_procs: c.cfg().n + 2,
         horizon: 6_000,
         ..NemesisOpts::default()
     };
     let schedule = NemesisSchedule::random(seed, &opts);
-    let cfg = c.cfg;
+    let cfg = c.cfg();
     let sys = c.sys.clone();
     let make_honest: AutomatonFactory<M, E> = Box::new(move |_pid| {
         Box::new(Server::<B>::new(sys.clone(), cfg)) as Box<dyn Automaton<M, E>>
@@ -381,10 +381,13 @@ fn link_fault_accounting_agrees_across_substrates() {
 }
 
 /// One durable run under a scripted Crash → CrashRecover schedule:
-/// blocking ops with a full settle between steps make the per-server
+/// blocking ops with a full settle after every step make the per-server
 /// message order — and therefore every disk's byte content — a function
-/// of the seed alone, on either backend. Returns the per-server disk
-/// digests, the spec verdict, and the recovery (cure) log.
+/// of the seed alone, on either backend. Settling after each write
+/// matters: otherwise the slowest server's timestamp reply can outlive its
+/// write and join the next write's quorum, changing the label it picks.
+/// Returns the per-server disk digests, the spec verdict, and the
+/// recovery (cure) log.
 fn durable_recover_trace(
     backend: Backend,
     seed: u64,
@@ -404,15 +407,15 @@ fn durable_recover_trace(
         c.nemesis_runner(schedule, Vec::new(), sbft::register::adversary::ByzStrategy::Silent);
     for v in 1..=6u64 {
         c.write(w, v).unwrap();
+        c.settle(200_000);
     }
-    c.settle(200_000);
     // Crash 0, write through the gap, reboot it from its damaged disk.
     runner.fire_next(&mut c.sim);
     c.settle(200_000);
     for v in 7..=9u64 {
         c.write(w, v).unwrap();
+        c.settle(200_000);
     }
-    c.settle(200_000);
     runner.fire_next(&mut c.sim);
     c.settle(200_000);
     // Same dance for server 2 with a different fault kind.
@@ -420,12 +423,13 @@ fn durable_recover_trace(
     c.settle(200_000);
     for v in 10..=12u64 {
         c.write(w, v).unwrap();
+        c.settle(200_000);
     }
-    c.settle(200_000);
     runner.fire_next(&mut c.sim);
     c.settle(200_000);
     for v in 13..=20u64 {
         c.write(w, v).unwrap();
+        c.settle(200_000);
     }
     let got = c.read(r).expect("read terminates after recoveries").value;
     assert_eq!(got, 20, "{backend:?}");

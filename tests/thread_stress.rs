@@ -154,8 +154,8 @@ fn stress_crash_restart_churn_keeps_terminating() {
         .retry(RetryPolicy::chaos())
         .build_threaded();
     let w = c.client(0);
-    let n = c.cfg.n;
-    let cfg = c.cfg;
+    let n = c.cfg().n;
+    let cfg = c.cfg();
     let sys = c.sys.clone();
     let mut completed = 0u64;
     for round in 0..60u64 {
