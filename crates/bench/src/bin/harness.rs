@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! harness all            # every experiment (default scale)
-//! harness e1 … e18       # one experiment
+//! harness e1 … e20       # one experiment
 //! harness ablations      # the ablation tables
 //! harness quick          # all experiments at reduced scale (CI-sized)
 //! harness load           # E15 sustained-load run; writes BENCH_e15.json
@@ -48,8 +48,21 @@
 
 use sbft_bench::*;
 
+/// Write `t`'s keyed columns to `BENCH_<experiment>.json` in the current
+/// directory.
+fn write_bench(t: &Table, experiment: &str, units: &[(&str, &str)]) {
+    let path = format!("BENCH_{experiment}.json");
+    match std::fs::write(&path, t.to_json(experiment, units)) {
+        Ok(()) => eprintln!("wrote {path} ({} cells)", t.len()),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The value following `--name`, if any.
+    let flag = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
+    let num = |name: &str| flag(name).and_then(|v| v.parse::<u64>().ok());
     let csv = args.iter().any(|a| a == "--csv");
     let arg =
         args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| "all".to_string());
@@ -58,7 +71,7 @@ fn main() {
     let want = |name: &str| arg == "all" || arg == "quick" || arg == name;
 
     let mut printed = false;
-    let mut emit = |t: Table| {
+    let mut emit = |t: &Table| {
         if csv {
             println!("# {}", t.title);
             println!("{}", t.to_csv());
@@ -72,71 +85,59 @@ fn main() {
     let (seeds, ops) = if quick { (3, 5) } else { (10, 10) };
 
     if want("e1") {
-        emit(e1_lower_bound::run(seeds));
+        emit(&e1_lower_bound::run(seeds));
     }
     if want("e2") {
-        emit(e2_termination::run(seeds.min(5), ops));
+        emit(&e2_termination::run(seeds.min(5), ops));
     }
     if want("e3") {
-        emit(e3_propagation::run(seeds.min(5), ops));
+        emit(&e3_propagation::run(seeds.min(5), ops));
     }
     if want("e4") {
-        emit(e4_stabilization::run(seeds));
+        emit(&e4_stabilization::run(seeds));
     }
     if want("e5") {
-        emit(e5_labels::run(if quick { 40 } else { 120 }));
+        emit(&e5_labels::run(if quick { 40 } else { 120 }));
     }
     if want("e6") {
-        emit(e6_vs_baseline::run(seeds, 3));
+        emit(&e6_vs_baseline::run(seeds, 3));
     }
     if want("e7") {
-        emit(e7_quorum_cost::run(ops));
+        emit(&e7_quorum_cost::run(ops));
     }
     if want("e8") {
-        emit(e8_concurrency::run(seeds.min(5)));
+        emit(&e8_concurrency::run(seeds.min(5)));
     }
     if want("e9") {
-        emit(e9_threaded::run(if quick { 20 } else { 100 }));
+        emit(&e9_threaded::run(if quick { 20 } else { 100 }));
     }
     if want("e10") {
-        emit(e10_datalink::run(seeds, if quick { 20 } else { 50 }));
-        emit(e10_datalink::run_substrate(seeds.min(3), if quick { 8 } else { 16 }));
+        emit(&e10_datalink::run(seeds, if quick { 20 } else { 50 }));
+        emit(&e10_datalink::run_substrate(seeds.min(3), if quick { 8 } else { 16 }));
     }
     if want("e11") {
-        emit(e11_byzantine_readers::run(seeds.min(5), ops.min(6)));
+        emit(&e11_byzantine_readers::run(seeds.min(5), ops.min(6)));
     }
     if want("e12") {
-        emit(e12_atomicity::run(7));
+        emit(&e12_atomicity::run(7));
     }
     if want("e13") {
-        emit(e13_kv_store::run(7));
+        emit(&e13_kv_store::run(7));
     }
     if want("e14") {
-        emit(e14_chaos::run(if quick { 3 } else { 10 }, if quick { 1 } else { 2 }));
+        emit(&e14_chaos::run(if quick { 3 } else { 10 }, if quick { 1 } else { 2 }));
     }
     if want("e15") || arg == "load" {
-        let flag = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
-        };
-        let clients = flag("--clients").unwrap_or(4) as usize;
-        let ops = flag("--ops").unwrap_or(if quick { 60 } else { 400 });
-        let cells = e15_load::run_cells(clients, ops, 42);
-        emit(e15_load::table(&cells));
-        let json = e15_load::to_json(&cells);
-        match std::fs::write("BENCH_e15.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e15.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e15.json: {e}"),
-        }
+        let clients = num("--clients").unwrap_or(4) as usize;
+        let ops = num("--ops").unwrap_or(if quick { 60 } else { 400 });
+        let t = e15_load::table(&e15_load::run_cells(clients, ops, 42));
+        emit(&t);
+        write_bench(&t, "e15", e15_load::UNITS);
     }
     if want("e16") || arg == "explore" {
-        let replay_file =
-            args.iter().position(|a| a == "--replay").and_then(|i| args.get(i + 1)).cloned();
-        if let Some(path) = replay_file {
+        if let Some(path) = flag("--replay") {
             // Replay mode: re-execute a counterexample trace verbatim.
-            let text = match std::fs::read_to_string(&path) {
+            let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("could not read {path}: {e}");
@@ -154,23 +155,18 @@ fn main() {
                 }
             }
         } else {
-            let jobs = args
-                .iter()
-                .position(|a| a == "--jobs")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<usize>().ok());
-            let scenario =
-                args.iter().position(|a| a == "--scenario").and_then(|i| args.get(i + 1)).cloned();
+            let jobs = num("--jobs");
+            let scenario = flag("--scenario");
             let dedup = args.iter().any(|a| a == "--dedup");
             if jobs.is_some() || scenario.is_some() || dedup {
                 // Parallel / single-scenario exploration (E20 engine).
                 match e20_parallel::explore_cli(
-                    scenario.as_deref(),
+                    scenario.map(String::as_str),
                     quick,
-                    jobs.unwrap_or(1),
+                    jobs.unwrap_or(1) as usize,
                     dedup,
                 ) {
-                    Ok(t) => emit(t),
+                    Ok(t) => emit(&t),
                     Err(msg) => {
                         eprintln!("{msg}");
                         std::process::exit(2);
@@ -178,7 +174,7 @@ fn main() {
                 }
             } else {
                 let out = e16_explore::run(quick);
-                emit(out.table);
+                emit(&out.table);
                 if let Some(trace) = out.counterexample {
                     match std::fs::write("E16_counterexample.trace", &trace) {
                         Ok(()) => eprintln!("wrote E16_counterexample.trace"),
@@ -189,57 +185,36 @@ fn main() {
         }
     }
     if want("e20") {
-        let cells = e20_parallel::run_cells(quick);
-        emit(e20_parallel::table(&cells));
-        let json = e20_parallel::to_json(&cells);
-        match std::fs::write("BENCH_e20.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e20.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e20.json: {e}"),
-        }
+        let t = e20_parallel::table(&e20_parallel::run_cells(quick));
+        emit(&t);
+        write_bench(&t, "e20", e20_parallel::UNITS);
     }
     if want("e17") || arg == "mobile" {
-        let cells = e17_mobile::run_cells(quick);
-        emit(e17_mobile::table(&cells));
-        let json = e17_mobile::to_json(&cells);
-        match std::fs::write("BENCH_e17.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e17.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e17.json: {e}"),
-        }
+        let t = e17_mobile::table(&e17_mobile::run_cells(quick));
+        emit(&t);
+        write_bench(&t, "e17", e17_mobile::UNITS);
     }
     if want("e18") || arg == "recover" {
-        let cells = e18_recover::run_cells(quick);
-        emit(e18_recover::table(&cells));
-        let json = e18_recover::to_json(&cells);
-        match std::fs::write("BENCH_e18.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e18.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e18.json: {e}"),
-        }
+        let t = e18_recover::table(&e18_recover::run_cells(quick));
+        emit(&t);
+        write_bench(&t, "e18", e18_recover::UNITS);
     }
     if want("e19") || arg == "scale" {
-        let flag = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
-        };
         let cells = if quick {
             e19_scale::run_quick(42)
         } else {
-            let clients = flag("--clients").unwrap_or(192) as usize;
-            let ops = flag("--ops").unwrap_or(20_000);
+            let clients = num("--clients").unwrap_or(192) as usize;
+            let ops = num("--ops").unwrap_or(20_000);
             e19_scale::run_cells(clients, ops, 42)
         };
-        emit(e19_scale::table(&cells));
-        let json = e19_scale::to_json(&cells);
-        match std::fs::write("BENCH_e19.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_e19.json ({} cells)", cells.len()),
-            Err(e) => eprintln!("could not write BENCH_e19.json: {e}"),
-        }
+        let t = e19_scale::table(&cells);
+        emit(&t);
+        write_bench(&t, "e19", e19_scale::UNITS);
     }
     if want("ablations") {
-        emit(ablations::ablate_selection(seeds.min(5)));
-        emit(ablations::ablate_union(seeds.min(5)));
-        emit(ablations::ablate_flush(seeds.min(5)));
+        emit(&ablations::ablate_selection(seeds.min(5)));
+        emit(&ablations::ablate_union(seeds.min(5)));
+        emit(&ablations::ablate_flush(seeds.min(5)));
     }
 
     if !printed {

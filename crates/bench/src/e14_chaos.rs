@@ -35,12 +35,13 @@
 //! `2f + 1` answer any read quorum.
 
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::{OpOutcome, RegisterCluster};
+use sbft_core::cluster::RegisterCluster;
 use sbft_core::{RetryPolicy, WindowTracker};
 use sbft_net::nemesis::{CureMode, NemesisOpts, NemesisSchedule};
 use sbft_net::{Backend, CorruptionSeverity};
 
 use crate::table::Table;
+use crate::tally::OpTally;
 
 /// Safety cap on workload rounds per seed.
 const MAX_ROUNDS: u64 = 4_000;
@@ -60,16 +61,8 @@ pub struct E14Cell {
     pub events_fired: u64,
     /// Minimum distinct disturbance kinds fired by any one schedule.
     pub min_distinct_kinds: usize,
-    /// Completed writes.
-    pub writes_ok: u64,
-    /// Completed reads.
-    pub reads_ok: u64,
-    /// Reads that aborted (split replies, no `2f+1` witness, union off).
-    pub aborted: u64,
-    /// Operations that died on a lone deadline (or a stuck driver).
-    pub timed_out: u64,
-    /// Operations that burned through every retry.
-    pub exhausted: u64,
+    /// Client operations by outcome.
+    pub outcomes: OpTally,
     /// Amnesiac cures observed (servers vacated by the roaming seat).
     pub cures: u64,
     /// Heals observed (disturbance windows closed).
@@ -83,16 +76,6 @@ pub struct E14Cell {
 }
 
 impl E14Cell {
-    fn tally<T>(&mut self, out: &OpOutcome<T>, is_write: bool) {
-        match out {
-            OpOutcome::Ok(_) if is_write => self.writes_ok += 1,
-            OpOutcome::Ok(_) => self.reads_ok += 1,
-            OpOutcome::Aborted => self.aborted += 1,
-            OpOutcome::TimedOut { .. } => self.timed_out += 1,
-            OpOutcome::Exhausted { .. } => self.exhausted += 1,
-        }
-    }
-
     /// Mean heal-to-reconvergence time in substrate ticks.
     pub fn mean_reconverge(&self) -> u64 {
         self.reconverge_ticks.checked_div(self.heals).unwrap_or(0)
@@ -106,11 +89,7 @@ pub fn run_backend(backend: Backend, seeds: u64) -> E14Cell {
         seeds: seeds as usize,
         events_fired: 0,
         min_distinct_kinds: usize::MAX,
-        writes_ok: 0,
-        reads_ok: 0,
-        aborted: 0,
-        timed_out: 0,
-        exhausted: 0,
+        outcomes: OpTally::default(),
         cures: 0,
         heals: 0,
         reconverge_ticks: 0,
@@ -160,7 +139,7 @@ fn run_seed(cell: &mut E14Cell, backend: Backend, seed: u64, strat: ByzStrategy)
 
     // Seed the register (and the first stable window) before the chaos.
     let first = c.write_outcome(w, value);
-    cell.tally(&first, true);
+    cell.outcomes.record(&first, true);
     if first.is_ok() {
         tracker.write_completed(c.now(), true);
     }
@@ -183,9 +162,9 @@ fn run_seed(cell: &mut E14Cell, backend: Backend, seed: u64, strat: ByzStrategy)
 
         value += 1;
         let wout = c.write_outcome(w, value);
-        cell.tally(&wout, true);
+        cell.outcomes.record(&wout, true);
         let rout = c.read_outcome(r);
-        cell.tally(&rout, false);
+        cell.outcomes.record(&rout, false);
 
         if wout.is_ok() {
             tracker.write_completed(c.now(), runner.all_clear());
@@ -211,9 +190,9 @@ fn run_seed(cell: &mut E14Cell, backend: Backend, seed: u64, strat: ByzStrategy)
     // back. One write + one read, both required to complete.
     value += 1;
     let wout = c.write_outcome(w, value);
-    cell.tally(&wout, true);
+    cell.outcomes.record(&wout, true);
     let rout = c.read_outcome(r);
-    cell.tally(&rout, false);
+    cell.outcomes.record(&rout, false);
     if !wout.is_ok() || !rout.is_ok() {
         cell.post_heal_failures += 1;
     }
@@ -233,50 +212,29 @@ fn run_seed(cell: &mut E14Cell, backend: Backend, seed: u64, strat: ByzStrategy)
 
 /// The E14 table: one row per backend.
 pub fn run(sim_seeds: u64, threaded_seeds: u64) -> Table {
-    let mut t = Table::new(
+    Table::build(
         "E14: chaos soak — seeded nemesis schedules vs. retrying clients (f = 1, amnesiac mobile byz seat)",
-        &[
-            "backend",
-            "seeds",
-            "nemesis events",
-            "distinct kinds (min)",
-            "writes ok",
-            "reads ok",
-            "aborted",
-            "timed out",
-            "exhausted",
-            "cures",
-            "heals",
-            "mean reconverge",
-            "post-heal failures",
-            "stable-window violations",
-        ],
-    );
-    for (backend, seeds) in [(Backend::Sim, sim_seeds), (Backend::Threaded, threaded_seeds)] {
-        let c = run_backend(backend, seeds);
-        t.row(vec![
-            format!("{backend:?}"),
-            c.seeds.to_string(),
-            c.events_fired.to_string(),
-            c.min_distinct_kinds.to_string(),
-            c.writes_ok.to_string(),
-            c.reads_ok.to_string(),
-            c.aborted.to_string(),
-            c.timed_out.to_string(),
-            c.exhausted.to_string(),
-            c.cures.to_string(),
-            c.heals.to_string(),
-            c.mean_reconverge().to_string(),
-            c.post_heal_failures.to_string(),
-            c.violations.to_string(),
-        ]);
-    }
-    t
+        [(Backend::Sim, sim_seeds), (Backend::Threaded, threaded_seeds)],
+        |r, (backend, seeds)| {
+            let c = run_backend(backend, seeds);
+            r.table("backend", format!("{backend:?}"));
+            r.table("seeds", c.seeds);
+            r.table("nemesis events", c.events_fired);
+            r.table("distinct kinds (min)", c.min_distinct_kinds);
+            c.outcomes.columns(r);
+            r.table("cures", c.cures);
+            r.table("heals", c.heals);
+            r.table("mean reconverge", c.mean_reconverge());
+            r.table("post-heal failures", c.post_heal_failures);
+            r.table("stable-window violations", c.violations);
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbft_core::cluster::OpOutcome;
     use sbft_core::reader::ReaderOptions;
 
     #[test]
@@ -285,7 +243,7 @@ mod tests {
         assert_eq!(cell.violations, 0, "{cell:?}");
         assert_eq!(cell.post_heal_failures, 0, "{cell:?}");
         assert!(cell.min_distinct_kinds >= 5, "{cell:?}");
-        assert!(cell.writes_ok > 0 && cell.reads_ok > 0, "{cell:?}");
+        assert!(cell.outcomes.writes_ok > 0 && cell.outcomes.reads_ok > 0, "{cell:?}");
         assert!(cell.heals > 0, "{cell:?}");
         assert!(cell.cures > 0, "amnesiac seat movement never fired: {cell:?}");
     }
@@ -304,25 +262,6 @@ mod tests {
     // column it lands in, so the soak summary can never silently fold one
     // outcome into another again.
 
-    fn fresh_cell() -> E14Cell {
-        E14Cell {
-            backend: Backend::Sim,
-            seeds: 1,
-            events_fired: 0,
-            min_distinct_kinds: 0,
-            writes_ok: 0,
-            reads_ok: 0,
-            aborted: 0,
-            timed_out: 0,
-            exhausted: 0,
-            cures: 0,
-            heals: 0,
-            reconverge_ticks: 0,
-            post_heal_failures: 0,
-            violations: 0,
-        }
-    }
-
     #[test]
     fn timed_out_is_tallied_distinctly() {
         // Single attempt + deadline, quorum broken by two crashed servers:
@@ -336,12 +275,12 @@ mod tests {
         c.sim.crash(1);
         let out = c.write_outcome(w, 1);
         assert!(matches!(out, OpOutcome::TimedOut { .. }), "{out:?}");
-        let mut cell = fresh_cell();
-        cell.tally(&out, true);
+        let mut tally = OpTally::default();
+        tally.record(&out, true);
         assert_eq!(
-            (cell.timed_out, cell.exhausted, cell.aborted, cell.writes_ok),
+            (tally.timed_out, tally.exhausted, tally.aborted, tally.writes_ok),
             (1, 0, 0, 0),
-            "{cell:?}"
+            "{tally:?}"
         );
     }
 
@@ -363,12 +302,12 @@ mod tests {
         c.sim.crash(1);
         let out = c.write_outcome(w, 1);
         assert!(matches!(out, OpOutcome::Exhausted { .. }), "{out:?}");
-        let mut cell = fresh_cell();
-        cell.tally(&out, true);
+        let mut tally = OpTally::default();
+        tally.record(&out, true);
         assert_eq!(
-            (cell.timed_out, cell.exhausted, cell.aborted, cell.writes_ok),
+            (tally.timed_out, tally.exhausted, tally.aborted, tally.writes_ok),
             (0, 1, 0, 0),
-            "{cell:?}"
+            "{tally:?}"
         );
     }
 
@@ -396,12 +335,12 @@ mod tests {
             let _ = c.write_outcome(w, 2 + round);
         }
         let out = aborted.expect("no corrupted read aborted in 40 rounds");
-        let mut cell = fresh_cell();
-        cell.tally(&out, false);
+        let mut tally = OpTally::default();
+        tally.record(&out, false);
         assert_eq!(
-            (cell.timed_out, cell.exhausted, cell.aborted, cell.reads_ok),
+            (tally.timed_out, tally.exhausted, tally.aborted, tally.reads_ok),
             (0, 0, 1, 0),
-            "{cell:?}"
+            "{tally:?}"
         );
     }
 }

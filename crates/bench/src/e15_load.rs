@@ -37,7 +37,7 @@ use sbft_kv::KvCluster;
 use sbft_labels::BoundedLabeling;
 use sbft_net::{Backend, LatencyHistogram, ProcessId, Substrate};
 
-use crate::table::{f1, Table};
+use crate::table::Table;
 
 type B = BoundedLabeling;
 
@@ -390,63 +390,30 @@ pub fn run_cells(clients: usize, ops: u64, seed: u64) -> Vec<LoadCell> {
     cells
 }
 
-/// Render the cells as the harness table.
-pub fn table(cells: &[LoadCell]) -> Table {
-    let mut t = Table::new(
-        "E15 — sustained-load throughput & latency (f=1, n=6)",
-        &[
-            "workload", "backend", "mode", "clients", "ops_ok", "failed", "rejected", "wall_ms",
-            "ops/s", "p50", "p95", "p99", "msgs/op",
-        ],
-    );
-    for c in cells {
-        t.row(vec![
-            c.workload.to_string(),
-            format!("{:?}", c.backend).to_lowercase(),
-            c.mode.to_string(),
-            c.clients.to_string(),
-            c.ops_ok.to_string(),
-            c.ops_failed.to_string(),
-            c.rejected.to_string(),
-            f1(c.wall_ms),
-            f1(c.ops_per_sec),
-            c.latency.percentile(50.0).to_string(),
-            c.latency.percentile(95.0).to_string(),
-            c.latency.percentile(99.0).to_string(),
-            f1(c.msgs_per_op),
-        ]);
-    }
-    t
-}
+/// Legend of the `"unit"` object in `BENCH_e15.json`.
+pub const UNITS: &[(&str, &str)] =
+    &[("latency", "substrate ticks"), ("throughput", "ops per wall-clock second")];
 
-/// Serialize the cells as the machine-readable `BENCH_e15.json` document.
-pub fn to_json(cells: &[LoadCell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e15\",\n  \"schema\": 1,\n  \"unit\": {\"latency\": \"substrate ticks\", \"throughput\": \"ops per wall-clock second\"},\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"backend\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \"ops_ok\": {}, \"ops_failed\": {}, \"rejected\": {}, \"wall_ms\": {:.2}, \"ops_per_sec\": {:.1}, \"ticks\": {}, \"lat_p50\": {}, \"lat_p95\": {}, \"lat_p99\": {}, \"lat_mean\": {:.1}, \"lat_max\": {}, \"msgs_per_op\": {:.1}}}{}\n",
-            c.workload,
-            format!("{:?}", c.backend).to_lowercase(),
-            c.mode,
-            c.clients,
-            c.ops_ok,
-            c.ops_failed,
-            c.rejected,
-            c.wall_ms,
-            c.ops_per_sec,
-            c.ticks,
-            c.latency.percentile(50.0),
-            c.latency.percentile(95.0),
-            c.latency.percentile(99.0),
-            c.latency.mean(),
-            c.latency.max(),
-            c.msgs_per_op,
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Render the cells as the harness table (and `BENCH_e15.json` rows).
+pub fn table(cells: &[LoadCell]) -> Table {
+    Table::build("E15 — sustained-load throughput & latency (f=1, n=6)", cells, |r, c| {
+        r.col("workload", "workload", c.workload);
+        r.col("backend", "backend", format!("{:?}", c.backend).to_lowercase());
+        r.col("mode", "mode", c.mode);
+        r.col("clients", "clients", c.clients);
+        r.col("ops_ok", "ops_ok", c.ops_ok);
+        r.col("failed", "ops_failed", c.ops_failed);
+        r.col("rejected", "rejected", c.rejected);
+        r.float("wall_ms", "wall_ms", c.wall_ms, 1);
+        r.float("ops/s", "ops_per_sec", c.ops_per_sec, 1);
+        r.json("ticks", c.ticks);
+        r.col("p50", "lat_p50", c.latency.percentile(50.0));
+        r.col("p95", "lat_p95", c.latency.percentile(95.0));
+        r.col("p99", "lat_p99", c.latency.percentile(99.0));
+        r.json("lat_mean", c.latency.mean());
+        r.json("lat_max", c.latency.max());
+        r.float("msgs/op", "msgs_per_op", c.msgs_per_op, 1);
+    })
 }
 
 #[cfg(test)]
@@ -495,7 +462,7 @@ mod tests {
         // Rejections never enter the latency histogram either.
         assert_eq!(cell.latency.count(), completed);
         // And the JSON report carries the rejections as their own field.
-        let json = to_json(std::slice::from_ref(&cell));
+        let json = table(std::slice::from_ref(&cell)).to_json("e15", UNITS);
         assert!(json.contains(&format!("\"rejected\": {}", cell.rejected)), "{json}");
     }
 
@@ -511,7 +478,7 @@ mod tests {
     fn json_is_well_formed_enough() {
         let spec = LoadSpec::closed(2, 20, 5);
         let cells = vec![run_register_cell(Backend::Sim, &spec)];
-        let json = to_json(&cells);
+        let json = table(&cells).to_json("e15", UNITS);
         assert!(json.contains("\"experiment\": \"e15\""));
         assert!(json.contains("\"ops_per_sec\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -25,13 +25,14 @@
 //! included as a control.
 
 use sbft_core::adversary::ByzStrategy;
-use sbft_core::cluster::{OpOutcome, RegisterCluster};
+use sbft_core::cluster::RegisterCluster;
 use sbft_core::{RetryPolicy, WindowTracker};
 use sbft_net::mobile::{mobile_schedule, MobileOpts, MovementMode};
 use sbft_net::nemesis::CureMode;
 use sbft_net::{Backend, CorruptionSeverity};
 
 use crate::table::Table;
+use crate::tally::OpTally;
 
 /// Safety cap on workload rounds per seed.
 const MAX_ROUNDS: u64 = 4_000;
@@ -57,16 +58,8 @@ pub struct E17Cell {
     pub moves: u64,
     /// Amnesiac cures (= movements that vacated a server).
     pub cures: u64,
-    /// Completed writes / reads.
-    pub writes_ok: u64,
-    /// Completed reads.
-    pub reads_ok: u64,
-    /// Aborted ops.
-    pub aborted: u64,
-    /// Lone-deadline deaths.
-    pub timed_out: u64,
-    /// Retry-budget exhaustions.
-    pub exhausted: u64,
+    /// Client operations by outcome.
+    pub outcomes: OpTally,
     /// Stable windows that formed across all seeds.
     pub windows: u64,
     /// Regularity violations over the *full* history (no windowing).
@@ -123,11 +116,7 @@ pub fn run_cell(spec: &E17Spec) -> E17Cell {
         seeds: spec.seeds as usize,
         moves: 0,
         cures: 0,
-        writes_ok: 0,
-        reads_ok: 0,
-        aborted: 0,
-        timed_out: 0,
-        exhausted: 0,
+        outcomes: OpTally::default(),
         windows: 0,
         full_violations: 0,
         window_violations: 0,
@@ -139,16 +128,6 @@ pub fn run_cell(spec: &E17Spec) -> E17Cell {
         run_seed(&mut cell, spec, seed, strat);
     }
     cell
-}
-
-fn tally<T>(cell: &mut E17Cell, out: &OpOutcome<T>, is_write: bool) {
-    match out {
-        OpOutcome::Ok(_) if is_write => cell.writes_ok += 1,
-        OpOutcome::Ok(_) => cell.reads_ok += 1,
-        OpOutcome::Aborted => cell.aborted += 1,
-        OpOutcome::TimedOut { .. } => cell.timed_out += 1,
-        OpOutcome::Exhausted { .. } => cell.exhausted += 1,
-    }
 }
 
 fn run_seed(cell: &mut E17Cell, spec: &E17Spec, seed: u64, strat: ByzStrategy) {
@@ -176,7 +155,7 @@ fn run_seed(cell: &mut E17Cell, spec: &E17Spec, seed: u64, strat: ByzStrategy) {
     let mut cures_consumed = 0usize;
 
     let first = c.write_outcome(w, value);
-    tally(cell, &first, true);
+    cell.outcomes.record(&first, true);
     if first.is_ok() {
         tracker.write_completed(c.now(), true);
     }
@@ -198,9 +177,9 @@ fn run_seed(cell: &mut E17Cell, spec: &E17Spec, seed: u64, strat: ByzStrategy) {
 
         value += 1;
         let wout = c.write_outcome(w, value);
-        tally(cell, &wout, true);
+        cell.outcomes.record(&wout, true);
         let rout = c.read_outcome(r);
-        tally(cell, &rout, false);
+        cell.outcomes.record(&rout, false);
 
         if wout.is_ok() {
             tracker.write_completed(c.now(), runner.all_clear());
@@ -224,9 +203,9 @@ fn run_seed(cell: &mut E17Cell, spec: &E17Spec, seed: u64, strat: ByzStrategy) {
     // the traffic drain before scoring.
     value += 1;
     let wout = c.write_outcome(w, value);
-    tally(cell, &wout, true);
+    cell.outcomes.record(&wout, true);
     let rout = c.read_outcome(r);
-    tally(cell, &rout, false);
+    cell.outcomes.record(&rout, false);
     if wout.is_ok() {
         tracker.write_completed(c.now(), runner.all_clear());
     }
@@ -314,85 +293,32 @@ pub fn run_cells(quick: bool) -> Vec<E17Cell> {
     specs(quick).iter().map(run_cell).collect()
 }
 
-/// Render the frontier table.
-pub fn table(cells: &[E17Cell]) -> Table {
-    let mut t = Table::new(
-        "E17: mobile-Byzantine frontier — f roaming amnesiac seats vs. n ≥ 5f+1 stabilization",
-        &[
-            "backend",
-            "n",
-            "f",
-            "mode",
-            "round len",
-            "moves",
-            "cures",
-            "writes ok",
-            "reads ok",
-            "aborted",
-            "timed out",
-            "exhausted",
-            "windows",
-            "full viol",
-            "window viol",
-            "inversions",
-            "verdict",
-        ],
-    );
-    for c in cells {
-        t.row(vec![
-            format!("{:?}", c.backend),
-            c.n.to_string(),
-            c.f.to_string(),
-            c.mode.label().to_string(),
-            c.round_len.to_string(),
-            c.moves.to_string(),
-            c.cures.to_string(),
-            c.writes_ok.to_string(),
-            c.reads_ok.to_string(),
-            c.aborted.to_string(),
-            c.timed_out.to_string(),
-            c.exhausted.to_string(),
-            c.windows.to_string(),
-            c.full_violations.to_string(),
-            c.window_violations.to_string(),
-            c.inversions.to_string(),
-            c.verdict().to_string(),
-        ]);
-    }
-    t
-}
+/// Legend of the `"unit"` object in `BENCH_e17.json`.
+pub const UNITS: &[(&str, &str)] = &[("round_len", "substrate ticks between movement rounds")];
 
-/// Serialize the frontier as BENCH_e17.json.
-pub fn to_json(cells: &[E17Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e17\",\n  \"schema\": 1,\n  \"unit\": {\"round_len\": \"substrate ticks between movement rounds\"},\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"n\": {}, \"f\": {}, \"mode\": \"{}\", \"round_len\": {}, \"move_prob\": {}, \"seeds\": {}, \"moves\": {}, \"cures\": {}, \"writes_ok\": {}, \"reads_ok\": {}, \"aborted\": {}, \"timed_out\": {}, \"exhausted\": {}, \"windows\": {}, \"full_violations\": {}, \"window_violations\": {}, \"new_old_inversions\": {}, \"verdict\": \"{}\"}}{}\n",
-            format!("{:?}", c.backend).to_lowercase(),
-            c.n,
-            c.f,
-            c.mode.label(),
-            c.round_len,
-            c.move_prob,
-            c.seeds,
-            c.moves,
-            c.cures,
-            c.writes_ok,
-            c.reads_ok,
-            c.aborted,
-            c.timed_out,
-            c.exhausted,
-            c.windows,
-            c.full_violations,
-            c.window_violations,
-            c.inversions,
-            c.verdict(),
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Render the frontier table (and `BENCH_e17.json` rows).
+pub fn table(cells: &[E17Cell]) -> Table {
+    Table::build(
+        "E17: mobile-Byzantine frontier — f roaming amnesiac seats vs. n ≥ 5f+1 stabilization",
+        cells,
+        |r, c| {
+            r.col("backend", "backend", format!("{:?}", c.backend));
+            r.col("n", "n", c.n);
+            r.col("f", "f", c.f);
+            r.col("mode", "mode", c.mode.label());
+            r.col("round len", "round_len", c.round_len);
+            r.json("move_prob", c.move_prob);
+            r.json("seeds", c.seeds);
+            r.col("moves", "moves", c.moves);
+            r.col("cures", "cures", c.cures);
+            c.outcomes.columns(r);
+            r.col("windows", "windows", c.windows);
+            r.col("full viol", "full_violations", c.full_violations);
+            r.col("window viol", "window_violations", c.window_violations);
+            r.col("inversions", "new_old_inversions", c.inversions);
+            r.col("verdict", "verdict", c.verdict());
+        },
+    )
 }
 
 #[cfg(test)]
@@ -415,7 +341,7 @@ mod tests {
         assert!(cell.cures > 0, "{cell:?}");
         assert!(cell.windows > 0, "{cell:?}");
         assert_eq!(cell.window_violations, 0, "{cell:?}");
-        assert!(cell.writes_ok > 0 && cell.reads_ok > 0, "{cell:?}");
+        assert!(cell.outcomes.writes_ok > 0 && cell.outcomes.reads_ok > 0, "{cell:?}");
     }
 
     /// Serialization shape only — the grid itself runs via the harness
@@ -432,11 +358,7 @@ mod tests {
             seeds: 1,
             moves: 3,
             cures: 3,
-            writes_ok: 40,
-            reads_ok: 40,
-            aborted: 0,
-            timed_out: 0,
-            exhausted: 1,
+            outcomes: OpTally { writes_ok: 40, reads_ok: 40, exhausted: 1, ..OpTally::default() },
             windows: 4,
             full_violations: 0,
             window_violations: 0,
@@ -448,11 +370,11 @@ mod tests {
         b.round_len = 400;
         b.full_violations = 2;
         let cells = vec![a.clone(), b.clone()];
-        let json = to_json(&cells);
+        let json = table(&cells).to_json("e17", UNITS);
         assert_eq!(json.matches("\"verdict\"").count(), cells.len());
         assert!(json.contains("\"experiment\": \"e17\""));
-        assert!(json.contains("\"backend\": \"sim\""));
-        assert!(json.contains("\"backend\": \"threaded\""));
+        assert!(json.contains("\"backend\": \"Sim\""));
+        assert!(json.contains("\"backend\": \"Threaded\""));
         assert!(json.contains("\"new_old_inversions\""));
         // Verdict ladder: window violations dominate, then collapse, then
         // the full-history/stable-window gap, then regular.

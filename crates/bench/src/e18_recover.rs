@@ -31,6 +31,7 @@ use sbft_net::Backend;
 use sbft_storage::DiskFault;
 
 use crate::table::Table;
+use crate::tally::OpTally;
 
 /// Safety cap on workload rounds per seed.
 const MAX_ROUNDS: u64 = 4_000;
@@ -72,16 +73,8 @@ pub struct E18Cell {
     pub reconverge_ops: u64,
     /// Worst single reboot-to-convergence time in ticks.
     pub max_reconverge_ticks: u64,
-    /// Completed writes.
-    pub writes_ok: u64,
-    /// Completed reads.
-    pub reads_ok: u64,
-    /// Aborted ops.
-    pub aborted: u64,
-    /// Lone-deadline deaths.
-    pub timed_out: u64,
-    /// Retry-budget exhaustions.
-    pub exhausted: u64,
+    /// Client operations by outcome.
+    pub outcomes: OpTally,
     /// Completed reads older than the last acknowledged write.
     pub lost_reads: u64,
     /// Stable windows that formed across all seeds.
@@ -115,16 +108,6 @@ impl E18Cell {
     /// Mean reboot-to-convergence cost in client operations.
     pub fn mean_reconverge_ops(&self) -> u64 {
         self.reconverge_ops.checked_div(self.converged).unwrap_or(0)
-    }
-
-    fn tally<T>(&mut self, out: &OpOutcome<T>, is_write: bool) {
-        match out {
-            OpOutcome::Ok(_) if is_write => self.writes_ok += 1,
-            OpOutcome::Ok(_) => self.reads_ok += 1,
-            OpOutcome::Aborted => self.aborted += 1,
-            OpOutcome::TimedOut { .. } => self.timed_out += 1,
-            OpOutcome::Exhausted { .. } => self.exhausted += 1,
-        }
     }
 }
 
@@ -180,11 +163,7 @@ pub fn run_cell(spec: &E18Spec) -> E18Cell {
         reconverge_ticks: 0,
         reconverge_ops: 0,
         max_reconverge_ticks: 0,
-        writes_ok: 0,
-        reads_ok: 0,
-        aborted: 0,
-        timed_out: 0,
-        exhausted: 0,
+        outcomes: OpTally::default(),
         lost_reads: 0,
         windows: 0,
         window_violations: 0,
@@ -221,7 +200,7 @@ fn run_seed(cell: &mut E18Cell, spec: &E18Spec, seed: u64, strat: ByzStrategy) {
     let mut ops = 0u64;
 
     let first = c.write_outcome(w, value);
-    cell.tally(&first, true);
+    cell.outcomes.record(&first, true);
     ops += 1;
     if first.is_ok() {
         last_acked = value;
@@ -258,7 +237,7 @@ fn run_seed(cell: &mut E18Cell, spec: &E18Spec, seed: u64, strat: ByzStrategy) {
 
         value += 1;
         let wout = c.write_outcome(w, value);
-        cell.tally(&wout, true);
+        cell.outcomes.record(&wout, true);
         ops += 1;
         if wout.is_ok() {
             last_acked = value;
@@ -282,7 +261,7 @@ fn run_seed(cell: &mut E18Cell, spec: &E18Spec, seed: u64, strat: ByzStrategy) {
                 cell.lost_reads += 1;
             }
         }
-        cell.tally(&rout, false);
+        cell.outcomes.record(&rout, false);
 
         // Safety valve: if the substrate clock stalled, fast-forward the
         // next nemesis event so the sweep always terminates.
@@ -313,7 +292,7 @@ fn run_seed(cell: &mut E18Cell, spec: &E18Spec, seed: u64, strat: ByzStrategy) {
     // Epilogue: one more converging write + read, then drain the traffic.
     value += 1;
     let wout = c.write_outcome(w, value);
-    cell.tally(&wout, true);
+    cell.outcomes.record(&wout, true);
     ops += 1;
     if wout.is_ok() {
         last_acked = value;
@@ -334,7 +313,7 @@ fn run_seed(cell: &mut E18Cell, spec: &E18Spec, seed: u64, strat: ByzStrategy) {
             cell.lost_reads += 1;
         }
     }
-    cell.tally(&rout, false);
+    cell.outcomes.record(&rout, false);
     c.settle(200_000);
 
     if let Err(errs) = c.check_history() {
@@ -391,96 +370,38 @@ pub fn run_cells(quick: bool) -> Vec<E18Cell> {
     specs(quick).iter().map(run_cell).collect()
 }
 
-/// Render the recovery table.
-pub fn table(cells: &[E18Cell]) -> Table {
-    let mut t = Table::new(
-        "E18: damaged-disk crash recovery — servers reboot from faulty stable storage",
-        &[
-            "backend",
-            "n",
-            "f",
-            "disk fault",
-            "gap",
-            "crashes",
-            "recoveries",
-            "converged",
-            "mean ticks",
-            "mean ops",
-            "max ticks",
-            "writes ok",
-            "reads ok",
-            "aborted",
-            "timed out",
-            "exhausted",
-            "lost reads",
-            "windows",
-            "window viol",
-            "full viol",
-            "verdict",
-        ],
-    );
-    for c in cells {
-        t.row(vec![
-            format!("{:?}", c.backend),
-            c.n.to_string(),
-            c.f.to_string(),
-            c.fault.name().to_string(),
-            c.gap.to_string(),
-            c.crashes.to_string(),
-            c.recoveries.to_string(),
-            c.converged.to_string(),
-            c.mean_reconverge_ticks().to_string(),
-            c.mean_reconverge_ops().to_string(),
-            c.max_reconverge_ticks.to_string(),
-            c.writes_ok.to_string(),
-            c.reads_ok.to_string(),
-            c.aborted.to_string(),
-            c.timed_out.to_string(),
-            c.exhausted.to_string(),
-            c.lost_reads.to_string(),
-            c.windows.to_string(),
-            c.window_violations.to_string(),
-            c.full_violations.to_string(),
-            c.verdict().to_string(),
-        ]);
-    }
-    t
-}
+/// Legend of the `"unit"` object in `BENCH_e18.json`.
+pub const UNITS: &[(&str, &str)] = &[
+    ("gap", "quiet ticks between a recovery and the next crash"),
+    ("reconverge", "damaged-disk reboot to the next all-clear completed write"),
+];
 
-/// Serialize the sweep as BENCH_e18.json.
-pub fn to_json(cells: &[E18Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e18\",\n  \"schema\": 1,\n  \"unit\": {\"gap\": \"quiet ticks between a recovery and the next crash\", \"reconverge\": \"damaged-disk reboot to the next all-clear completed write\"},\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"n\": {}, \"f\": {}, \"disk_fault\": \"{}\", \"gap\": {}, \"seeds\": {}, \"crashes\": {}, \"recoveries\": {}, \"converged\": {}, \"mean_reconverge_ticks\": {}, \"mean_reconverge_ops\": {}, \"max_reconverge_ticks\": {}, \"writes_ok\": {}, \"reads_ok\": {}, \"aborted\": {}, \"timed_out\": {}, \"exhausted\": {}, \"lost_reads\": {}, \"windows\": {}, \"window_violations\": {}, \"full_violations\": {}, \"verdict\": \"{}\"}}{}\n",
-            format!("{:?}", c.backend).to_lowercase(),
-            c.n,
-            c.f,
-            c.fault.name(),
-            c.gap,
-            c.seeds,
-            c.crashes,
-            c.recoveries,
-            c.converged,
-            c.mean_reconverge_ticks(),
-            c.mean_reconverge_ops(),
-            c.max_reconverge_ticks,
-            c.writes_ok,
-            c.reads_ok,
-            c.aborted,
-            c.timed_out,
-            c.exhausted,
-            c.lost_reads,
-            c.windows,
-            c.window_violations,
-            c.full_violations,
-            c.verdict(),
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Render the recovery table (and `BENCH_e18.json` rows).
+pub fn table(cells: &[E18Cell]) -> Table {
+    Table::build(
+        "E18: damaged-disk crash recovery — servers reboot from faulty stable storage",
+        cells,
+        |r, c| {
+            r.col("backend", "backend", format!("{:?}", c.backend));
+            r.col("n", "n", c.n);
+            r.col("f", "f", c.f);
+            r.col("disk fault", "disk_fault", c.fault.name());
+            r.col("gap", "gap", c.gap);
+            r.json("seeds", c.seeds);
+            r.col("crashes", "crashes", c.crashes);
+            r.col("recoveries", "recoveries", c.recoveries);
+            r.col("converged", "converged", c.converged);
+            r.col("mean ticks", "mean_reconverge_ticks", c.mean_reconverge_ticks());
+            r.col("mean ops", "mean_reconverge_ops", c.mean_reconverge_ops());
+            r.col("max ticks", "max_reconverge_ticks", c.max_reconverge_ticks);
+            c.outcomes.columns(r);
+            r.col("lost reads", "lost_reads", c.lost_reads);
+            r.col("windows", "windows", c.windows);
+            r.col("window viol", "window_violations", c.window_violations);
+            r.col("full viol", "full_violations", c.full_violations);
+            r.col("verdict", "verdict", c.verdict());
+        },
+    )
 }
 
 #[cfg(test)]
@@ -523,11 +444,13 @@ mod tests {
             reconverge_ticks: 5_000,
             reconverge_ops: 50,
             max_reconverge_ticks: 2_000,
-            writes_ok: 40,
-            reads_ok: 40,
-            aborted: 0,
-            timed_out: 1,
-            exhausted: 1,
+            outcomes: OpTally {
+                writes_ok: 40,
+                reads_ok: 40,
+                timed_out: 1,
+                exhausted: 1,
+                ..OpTally::default()
+            },
             lost_reads: 0,
             windows: 6,
             window_violations: 0,
@@ -537,7 +460,7 @@ mod tests {
         b.backend = Backend::Threaded;
         b.fault = DiskFault::StaleSnapshot;
         let cells = vec![a.clone(), b];
-        let json = to_json(&cells);
+        let json = table(&cells).to_json("e18", UNITS);
         assert_eq!(json.matches("\"verdict\"").count(), cells.len());
         assert!(json.contains("\"experiment\": \"e18\""));
         assert!(json.contains("\"disk_fault\": \"bit-rot\""));

@@ -36,7 +36,7 @@ use sbft_kv::{Key, KvCluster};
 use sbft_labels::BoundedLabeling;
 use sbft_net::{Backend, BatchPolicy, LatencyHistogram, ProcessId, Substrate};
 
-use crate::table::{f1, Table};
+use crate::table::Table;
 
 type B = BoundedLabeling;
 
@@ -307,81 +307,37 @@ pub fn run_quick(seed: u64) -> Vec<ScaleCell> {
     cells
 }
 
-/// Render the cells as the harness table.
-pub fn table(cells: &[ScaleCell]) -> Table {
-    let mut t = Table::new(
-        "E19 — scale: shards × link batching (f=1, n=6 per shard)",
-        &[
-            "backend",
-            "shards",
-            "batch",
-            "pipe",
-            "clients",
-            "keys",
-            "ops_ok",
-            "failed",
-            "ops/ktick",
-            "ops/s",
-            "p50",
-            "p95",
-            "p99",
-            "logical/op",
-            "frames/op",
-        ],
-    );
-    for c in cells {
-        t.row(vec![
-            format!("{:?}", c.backend).to_lowercase(),
-            c.shards.to_string(),
-            if c.max_batch > 1 { c.max_batch.to_string() } else { "off".into() },
-            c.pipeline.to_string(),
-            c.clients.to_string(),
-            c.keyspace.to_string(),
-            c.ops_ok.to_string(),
-            c.ops_failed.to_string(),
-            f1(c.ops_per_ktick),
-            f1(c.ops_per_sec),
-            c.latency.percentile(50.0).to_string(),
-            c.latency.percentile(95.0).to_string(),
-            c.latency.percentile(99.0).to_string(),
-            f1(c.logical_msgs_per_op),
-            f1(c.msgs_per_op),
-        ]);
-    }
-    t
-}
+/// Legend of the `"unit"` object in `BENCH_e19.json`.
+pub const UNITS: &[(&str, &str)] = &[
+    ("latency", "substrate ticks"),
+    ("throughput", "ops per kilotick (sim-deterministic) and ops per wall-clock second"),
+    ("msgs_per_op", "wire frames per completed op"),
+];
 
-/// Serialize the cells as the machine-readable `BENCH_e19.json` document.
+/// Render the cells as the harness table (and `BENCH_e19.json` rows).
 /// `msgs_per_op` counts wire frames (amortized transfers per operation);
 /// `logical_msgs_per_op` is the protocol-level count.
-pub fn to_json(cells: &[ScaleCell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e19\",\n  \"schema\": 1,\n  \"unit\": {\"latency\": \"substrate ticks\", \"throughput\": \"ops per kilotick (sim-deterministic) and ops per wall-clock second\", \"msgs_per_op\": \"wire frames per completed op\"},\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"shards\": {}, \"max_batch\": {}, \"pipeline\": {}, \"clients\": {}, \"keyspace\": {}, \"ops_ok\": {}, \"ops_failed\": {}, \"wall_ms\": {:.2}, \"ops_per_sec\": {:.1}, \"ticks\": {}, \"ops_per_ktick\": {:.2}, \"lat_p50\": {}, \"lat_p95\": {}, \"lat_p99\": {}, \"logical_msgs_per_op\": {:.1}, \"msgs_per_op\": {:.2}}}{}\n",
-            format!("{:?}", c.backend).to_lowercase(),
-            c.shards,
-            c.max_batch,
-            c.pipeline,
-            c.clients,
-            c.keyspace,
-            c.ops_ok,
-            c.ops_failed,
-            c.wall_ms,
-            c.ops_per_sec,
-            c.ticks,
-            c.ops_per_ktick,
-            c.latency.percentile(50.0),
-            c.latency.percentile(95.0),
-            c.latency.percentile(99.0),
-            c.logical_msgs_per_op,
-            c.msgs_per_op,
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn table(cells: &[ScaleCell]) -> Table {
+    Table::build("E19 — scale: shards × link batching (f=1, n=6 per shard)", cells, |r, c| {
+        r.col("backend", "backend", format!("{:?}", c.backend).to_lowercase());
+        r.col("shards", "shards", c.shards);
+        r.table("batch", if c.max_batch > 1 { c.max_batch.to_string() } else { "off".into() });
+        r.json("max_batch", c.max_batch);
+        r.col("pipe", "pipeline", c.pipeline);
+        r.col("clients", "clients", c.clients);
+        r.col("keys", "keyspace", c.keyspace);
+        r.col("ops_ok", "ops_ok", c.ops_ok);
+        r.col("failed", "ops_failed", c.ops_failed);
+        r.json("wall_ms", c.wall_ms);
+        r.float("ops/ktick", "ops_per_ktick", c.ops_per_ktick, 1);
+        r.float("ops/s", "ops_per_sec", c.ops_per_sec, 1);
+        r.json("ticks", c.ticks);
+        r.col("p50", "lat_p50", c.latency.percentile(50.0));
+        r.col("p95", "lat_p95", c.latency.percentile(95.0));
+        r.col("p99", "lat_p99", c.latency.percentile(99.0));
+        r.float("logical/op", "logical_msgs_per_op", c.logical_msgs_per_op, 1);
+        r.float("frames/op", "msgs_per_op", c.msgs_per_op, 1);
+    })
 }
 
 #[cfg(test)]
@@ -419,7 +375,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let cells = run_quick(5);
-        let json = to_json(&cells);
+        let json = table(&cells).to_json("e19", UNITS);
         assert!(json.contains("\"experiment\": \"e19\""));
         assert!(json.contains("\"msgs_per_op\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -26,7 +26,7 @@
 use sbft_explorer::scenario::RegisterScenario;
 use sbft_explorer::{
     explore_parallel, replay, shrink_parallel, ExplorerConfig, ParallelConfig, ReplayOutcome,
-    Scenario,
+    Scenario, Violation,
 };
 
 use crate::Table;
@@ -54,8 +54,9 @@ pub struct ParallelCell {
     /// Schedules per wall-clock second.
     pub schedules_per_sec: f64,
     /// Wall-clock speedup vs the jobs=1 cell of the same scenario × dedup
-    /// configuration (1.0 for the jobs=1 cell itself).
-    pub speedup: f64,
+    /// configuration (1.0 for the jobs=1 cell itself); `None` without such
+    /// a baseline, as in one-off `harness explore --jobs N` runs.
+    pub speedup: Option<f64>,
     /// Human verdict for the table.
     pub verdict: String,
 }
@@ -100,7 +101,7 @@ fn run_one(
         violations: report.violations.len(),
         wall_ms,
         schedules_per_sec: if dt > 0.0 { report.stats.schedules as f64 / dt } else { 0.0 },
-        speedup: 1.0,
+        speedup: None,
         verdict: String::new(),
     };
     (cell, report)
@@ -127,30 +128,19 @@ pub fn run_cells(quick: bool) -> Vec<ParallelCell> {
             let mut base: Option<(f64, u64, u64)> = None; // (wall, schedules, transitions)
             for &jobs in &jobs_swept(quick) {
                 let (mut c, _) = run_one(scenario, &config, jobs, dedup);
-                match base {
-                    None => base = Some((c.wall_ms, c.schedules, c.transitions)),
-                    Some((wall1, sched1, trans1)) => {
-                        c.speedup = if c.wall_ms > 0.0 { wall1 / c.wall_ms } else { 1.0 };
-                        if !dedup && (c.schedules != sched1 || c.transitions != trans1) {
-                            c.verdict = format!(
-                                "NONDETERMINISTIC: {}/{} vs {}/{} at 1 worker",
-                                c.schedules, c.transitions, sched1, trans1
-                            );
-                        }
-                    }
-                }
-                if c.verdict.is_empty() {
-                    c.verdict = if c.violations != 0 {
-                        "VIOLATIONS".into()
-                    } else if dedup && c.dedup_checks > 0 {
-                        format!(
-                            "clean, dedup hit rate {:.1}%",
-                            100.0 * c.deduped as f64 / c.dedup_checks as f64
-                        )
-                    } else {
-                        "clean".into()
-                    };
-                }
+                let (wall1, sched1, trans1) =
+                    *base.get_or_insert((c.wall_ms, c.schedules, c.transitions));
+                c.speedup = Some(speedup(wall1, c.wall_ms));
+                c.verdict = if !dedup && (c.schedules != sched1 || c.transitions != trans1) {
+                    format!(
+                        "NONDETERMINISTIC: {}/{} vs {}/{} at 1 worker",
+                        c.schedules, c.transitions, sched1, trans1
+                    )
+                } else if c.violations != 0 {
+                    "VIOLATIONS".into()
+                } else {
+                    clean_verdict(&c)
+                };
                 cells.push(c);
             }
         }
@@ -170,28 +160,47 @@ pub fn run_cells(quick: bool) -> Vec<ParallelCell> {
         let mut base_wall: Option<f64> = None;
         for &jobs in &jobs_swept(quick) {
             let (mut c, report) = run_one(&dirty, &config, jobs, dedup);
-            match base_wall {
-                None => base_wall = Some(c.wall_ms),
-                Some(wall1) => c.speedup = if c.wall_ms > 0.0 { wall1 / c.wall_ms } else { 1.0 },
-            }
+            c.speedup = Some(speedup(*base_wall.get_or_insert(c.wall_ms), c.wall_ms));
             c.verdict = match report.violations.first() {
-                Some(v) => {
-                    let min = shrink_parallel(&dirty, v, jobs);
-                    match replay(&dirty, &min.schedule) {
-                        ReplayOutcome::Violation { .. } => format!(
-                            "counterexample found (depth {}), shrunk to {} events, replay verified",
-                            v.schedule.len(),
-                            min.schedule.len()
-                        ),
-                        other => format!("SHRUNK TRACE DID NOT REPLAY: {other:?}"),
-                    }
-                }
+                Some(v) => counterexample_verdict(&dirty, v, jobs),
                 None => "MISSED Theorem 1 counterexample".into(),
             };
             cells.push(c);
         }
     }
     cells
+}
+
+/// Wall-clock speedup of a run taking `wall_ms` over one taking `wall1`.
+fn speedup(wall1: f64, wall_ms: f64) -> f64 {
+    if wall_ms > 0.0 {
+        wall1 / wall_ms
+    } else {
+        1.0
+    }
+}
+
+/// Verdict of a violation-free run, with the dedup hit rate when dedup ran.
+fn clean_verdict(c: &ParallelCell) -> String {
+    if c.dedup_checks > 0 {
+        format!("clean, dedup hit rate {:.1}%", 100.0 * c.deduped as f64 / c.dedup_checks as f64)
+    } else {
+        "clean".into()
+    }
+}
+
+/// Shrink the found violation `v` on `jobs` workers and replay-verify the
+/// shrunk schedule.
+fn counterexample_verdict(scenario: &RegisterScenario, v: &Violation, jobs: usize) -> String {
+    let min = shrink_parallel(scenario, v, jobs);
+    match replay(scenario, &min.schedule) {
+        ReplayOutcome::Violation { .. } => format!(
+            "counterexample found (depth {}), shrunk to {} events, replay verified",
+            v.schedule.len(),
+            min.schedule.len()
+        ),
+        other => format!("SHRUNK TRACE DID NOT REPLAY: {other:?}"),
+    }
 }
 
 /// `harness explore --scenario <name> --jobs N [--dedup]`: explore one
@@ -232,91 +241,45 @@ pub fn explore_cli(
         };
         let (mut c, report) = run_one(s, &config, jobs, dedup);
         c.verdict = match report.violations.first() {
-            Some(v) => {
-                let min = shrink_parallel(s, v, jobs);
-                match replay(s, &min.schedule) {
-                    ReplayOutcome::Violation { .. } => format!(
-                        "counterexample found (depth {}), shrunk to {} events, replay verified",
-                        v.schedule.len(),
-                        min.schedule.len()
-                    ),
-                    other => format!("SHRUNK TRACE DID NOT REPLAY: {other:?}"),
-                }
-            }
-            None if c.dedup_checks > 0 => format!(
-                "clean, dedup hit rate {:.1}%",
-                100.0 * c.deduped as f64 / c.dedup_checks as f64
-            ),
-            None => "clean".into(),
+            Some(v) => counterexample_verdict(s, v, jobs),
+            None => clean_verdict(&c),
         };
         cells.push(c);
     }
     Ok(table(&cells))
 }
 
-/// Render the EXPERIMENTS.md table.
-pub fn table(cells: &[ParallelCell]) -> Table {
-    let mut t = Table::new(
-        "E20: parallel work-stealing exploration (jobs × dedup × scenario)",
-        &[
-            "scenario",
-            "jobs",
-            "dedup",
-            "schedules",
-            "transitions",
-            "sched_per_sec",
-            "dedup_hits",
-            "speedup",
-            "verdict",
-        ],
-    );
-    for c in cells {
-        t.row(vec![
-            c.scenario.clone(),
-            c.jobs.to_string(),
-            if c.dedup { "on" } else { "off" }.into(),
-            c.schedules.to_string(),
-            c.transitions.to_string(),
-            format!("{:.0}", c.schedules_per_sec),
-            if c.dedup_checks > 0 {
-                format!("{}/{}", c.deduped, c.dedup_checks)
-            } else {
-                "-".into()
-            },
-            format!("{:.2}x", c.speedup),
-            c.verdict.clone(),
-        ]);
-    }
-    t
-}
+/// Legend of the `"unit"` object in `BENCH_e20.json`.
+pub const UNITS: &[(&str, &str)] = &[
+    ("sched_per_sec", "complete schedules per wall-clock second"),
+    ("speedup", "wall-clock vs jobs=1 of the same scenario and dedup setting"),
+];
 
-/// Serialize the sweep (plus the core count it ran on) as BENCH_e20.json.
-pub fn to_json(cells: &[ParallelCell]) -> String {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"experiment\": \"e20\",\n  \"schema\": 1,\n  \"cores\": {cores},\n  \"unit\": {{\"sched_per_sec\": \"complete schedules per wall-clock second\", \"speedup\": \"wall-clock vs jobs=1 of the same scenario and dedup setting\"}},\n  \"cells\": [\n"
-    );
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"jobs\": {}, \"dedup\": {}, \"schedules\": {}, \"transitions\": {}, \"deduped\": {}, \"dedup_checks\": {}, \"violations\": {}, \"wall_ms\": {:.2}, \"sched_per_sec\": {:.1}, \"speedup\": {:.3}, \"verdict\": \"{}\"}}{}\n",
-            c.scenario,
-            c.jobs,
-            c.dedup,
-            c.schedules,
-            c.transitions,
-            c.deduped,
-            c.dedup_checks,
-            c.violations,
-            c.wall_ms,
-            c.schedules_per_sec,
-            c.speedup,
-            c.verdict.replace('"', "'"),
-            sep,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Render the EXPERIMENTS.md table (and `BENCH_e20.json` rows).
+pub fn table(cells: &[ParallelCell]) -> Table {
+    Table::build(
+        "E20: parallel work-stealing exploration (jobs × dedup × scenario)",
+        cells,
+        |r, c| {
+            r.col("scenario", "scenario", c.scenario.as_str());
+            r.col("jobs", "jobs", c.jobs);
+            r.col("dedup", "dedup", c.dedup);
+            r.col("schedules", "schedules", c.schedules);
+            r.col("transitions", "transitions", c.transitions);
+            r.json("deduped", c.deduped);
+            r.json("dedup_checks", c.dedup_checks);
+            r.json("violations", c.violations);
+            r.json("wall_ms", c.wall_ms);
+            r.float("sched_per_sec", "sched_per_sec", c.schedules_per_sec, 0);
+            r.table(
+                "dedup_hits",
+                (c.dedup_checks > 0).then(|| format!("{}/{}", c.deduped, c.dedup_checks)),
+            );
+            r.table("speedup", c.speedup.map(|x| format!("{x:.2}x")));
+            r.json("speedup", c.speedup);
+            r.col("verdict", "verdict", c.verdict.as_str());
+        },
+    )
 }
 
 #[cfg(test)]
@@ -348,9 +311,18 @@ mod tests {
             ExplorerConfig { branch_depth: 6, max_schedules: 200_000, ..Default::default() };
         let (c, _) = run_one(&s, &config, 2, true);
         assert!(c.deduped > 0, "dedup must engage at full depth: {}/{}", c.deduped, c.dedup_checks);
-        let json = to_json(&cells);
+        let json = table(&cells).to_json("e20", UNITS);
         assert!(json.contains("\"experiment\": \"e20\""));
         assert!(json.contains("\"cores\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn one_off_exploration_has_no_speedup() {
+        // No jobs=1 baseline runs, so there is no speedup to report.
+        let t = explore_cli(Some("concurrent-wr-n6"), true, 2, false).unwrap();
+        assert_eq!(t.cell(0, t.col("speedup")), "-");
+        assert_eq!(t.cell(0, t.col("verdict")), "clean");
+        assert!(explore_cli(Some("no-such-scenario"), true, 1, false).is_err());
     }
 }

@@ -36,5 +36,6 @@ pub mod e7_quorum_cost;
 pub mod e8_concurrency;
 pub mod e9_threaded;
 pub mod table;
+pub mod tally;
 
 pub use table::Table;
