@@ -18,8 +18,8 @@
 
 use sbft_explorer::scenario::RegisterScenario;
 use sbft_explorer::{
-    explore, format_trace, parse_trace, replay, shrink, ExplorerConfig, ReplayOutcome, Scenario,
-    Violation,
+    explore_parallel, format_trace, parse_trace, replay, shrink_parallel, ExplorerConfig,
+    ParallelConfig, ReplayOutcome, Scenario, Violation,
 };
 
 use crate::table::pct;
@@ -56,9 +56,10 @@ pub struct E16Outcome {
     pub counterexample: Option<String>,
 }
 
-/// Fork depth for the exhaustive cells. Depth 4 at quick scale keeps the
-/// sweep under CI budgets; depth 6 at full scale pushes the unpruned
-/// `concurrent-wr-n6` tree past 10,000 schedules.
+/// Fork depth for the exhaustive cells (here and in E20's clean-scenario
+/// sweep). Depth 4 at quick scale keeps the sweep under CI budgets; depth
+/// 6 at full scale pushes the unpruned `concurrent-wr-n6` tree past
+/// 10,000 schedules.
 pub fn sweep_depth(quick: bool) -> usize {
     if quick {
         4
@@ -67,8 +68,30 @@ pub fn sweep_depth(quick: bool) -> usize {
     }
 }
 
+/// Shrink the found violation `v` on `jobs` workers and replay-verify the
+/// shrunk schedule. Returns the verdict, plus the shrunk violation when it
+/// replays.
+pub fn counterexample_verdict(
+    scenario: &RegisterScenario,
+    v: &Violation,
+    jobs: usize,
+) -> (String, Option<Violation>) {
+    let min = shrink_parallel(scenario, v, jobs);
+    match replay(scenario, &min.schedule) {
+        ReplayOutcome::Violation { .. } => (
+            format!(
+                "counterexample found (depth {}), shrunk to {} events, replay verified",
+                v.schedule.len(),
+                min.schedule.len()
+            ),
+            Some(min),
+        ),
+        other => (format!("SHRUNK TRACE DID NOT REPLAY: {other:?}"), None),
+    }
+}
+
 fn cell(scenario: &RegisterScenario, config: &ExplorerConfig) -> (ExploreCell, Vec<Violation>) {
-    let report = explore(scenario, config);
+    let report = explore_parallel(scenario, config, &ParallelConfig::default());
     let c = ExploreCell {
         scenario: scenario.name().to_string(),
         prune: config.prune,
@@ -131,50 +154,29 @@ pub fn run(quick: bool) -> E16Outcome {
     let (mut c, violations) = cell(&dirty, &config);
     c.verdict = match violations.first() {
         Some(v) => {
-            let min = shrink(&dirty, v);
-            match replay(&dirty, &min.schedule) {
-                ReplayOutcome::Violation { .. } => {
-                    counterexample = Some(format_trace(dirty.name(), &min));
-                    format!(
-                        "counterexample found (depth {}), shrunk to {} events, replay verified",
-                        v.schedule.len(),
-                        min.schedule.len()
-                    )
-                }
-                other => format!("SHRUNK TRACE DID NOT REPLAY: {other:?}"),
-            }
+            let (verdict, min) = counterexample_verdict(&dirty, v, 1);
+            counterexample = min.map(|min| format_trace(dirty.name(), &min));
+            verdict
         }
         None => "MISSED Theorem 1 counterexample".into(),
     };
     cells.push(c);
 
-    let mut table = Table::new(
+    let table = Table::build(
         "E16: bounded-exhaustive schedule exploration (Theorem 1 / Lemma 5)",
-        &[
-            "scenario",
-            "prune",
-            "fork_depth",
-            "schedules",
-            "pruned_subtrees",
-            "transitions",
-            "max_depth",
-            "violations",
-            "verdict",
-        ],
+        &cells,
+        |r, c| {
+            r.table("scenario", c.scenario.as_str());
+            r.table("prune", c.prune);
+            r.table("fork_depth", c.branch_depth);
+            r.table("schedules", c.schedules);
+            r.table("pruned_subtrees", c.pruned);
+            r.table("transitions", c.transitions);
+            r.table("max_depth", c.max_depth);
+            r.table("violations", c.violations);
+            r.table("verdict", c.verdict.as_str());
+        },
     );
-    for c in &cells {
-        table.row(vec![
-            c.scenario.clone(),
-            if c.prune { "on" } else { "off" }.into(),
-            c.branch_depth.to_string(),
-            c.schedules.to_string(),
-            c.pruned.to_string(),
-            c.transitions.to_string(),
-            c.max_depth.to_string(),
-            c.violations.to_string(),
-            c.verdict.clone(),
-        ]);
-    }
     E16Outcome { table, counterexample }
 }
 
@@ -221,8 +223,10 @@ mod tests {
         let raw: u64 = t.cell(0, schedules).parse().unwrap();
         let pruned: u64 = t.cell(1, schedules).parse().unwrap();
         assert!(pruned < raw, "sleep sets must prune ({pruned} vs {raw})");
-        // And the counterexample trace round-trips through the replayer.
+        // And the counterexample trace round-trips through the replayer and
+        // is byte-equal to the committed one.
         let trace = out.counterexample.expect("trace emitted");
+        assert_eq!(trace, include_str!("../../../E16_counterexample.trace"));
         let msg = replay_trace(&trace).expect("trace must reproduce");
         assert!(msg.contains("reproduced"), "{msg}");
     }

@@ -24,11 +24,9 @@
 //! substrate precedent).
 
 use sbft_explorer::scenario::RegisterScenario;
-use sbft_explorer::{
-    explore_parallel, replay, shrink_parallel, ExplorerConfig, ParallelConfig, ReplayOutcome,
-    Scenario, Violation,
-};
+use sbft_explorer::{explore_parallel, ExplorerConfig, ParallelConfig, Scenario};
 
+use crate::e16_explore::{counterexample_verdict, sweep_depth};
 use crate::Table;
 
 /// One explored configuration of the E20 sweep.
@@ -67,15 +65,6 @@ fn jobs_swept(quick: bool) -> Vec<usize> {
         vec![1, 2]
     } else {
         vec![1, 2, 4]
-    }
-}
-
-/// Fork depth for the clean-scenario sweep cells.
-fn sweep_depth(quick: bool) -> usize {
-    if quick {
-        4
-    } else {
-        6
     }
 }
 
@@ -162,7 +151,7 @@ pub fn run_cells(quick: bool) -> Vec<ParallelCell> {
             let (mut c, report) = run_one(&dirty, &config, jobs, dedup);
             c.speedup = Some(speedup(*base_wall.get_or_insert(c.wall_ms), c.wall_ms));
             c.verdict = match report.violations.first() {
-                Some(v) => counterexample_verdict(&dirty, v, jobs),
+                Some(v) => counterexample_verdict(&dirty, v, jobs).0,
                 None => "MISSED Theorem 1 counterexample".into(),
             };
             cells.push(c);
@@ -186,20 +175,6 @@ fn clean_verdict(c: &ParallelCell) -> String {
         format!("clean, dedup hit rate {:.1}%", 100.0 * c.deduped as f64 / c.dedup_checks as f64)
     } else {
         "clean".into()
-    }
-}
-
-/// Shrink the found violation `v` on `jobs` workers and replay-verify the
-/// shrunk schedule.
-fn counterexample_verdict(scenario: &RegisterScenario, v: &Violation, jobs: usize) -> String {
-    let min = shrink_parallel(scenario, v, jobs);
-    match replay(scenario, &min.schedule) {
-        ReplayOutcome::Violation { .. } => format!(
-            "counterexample found (depth {}), shrunk to {} events, replay verified",
-            v.schedule.len(),
-            min.schedule.len()
-        ),
-        other => format!("SHRUNK TRACE DID NOT REPLAY: {other:?}"),
     }
 }
 
@@ -241,7 +216,7 @@ pub fn explore_cli(
         };
         let (mut c, report) = run_one(s, &config, jobs, dedup);
         c.verdict = match report.violations.first() {
-            Some(v) => counterexample_verdict(s, v, jobs),
+            Some(v) => counterexample_verdict(s, v, jobs).0,
             None => clean_verdict(&c),
         };
         cells.push(c);

@@ -3,7 +3,8 @@
 //! The paper's guarantees are quantified over *every* asynchronous
 //! schedule, but the harness otherwise only samples schedules (seeded
 //! delays, nemesis scripts). This crate checks small configurations
-//! *exhaustively*: a depth-bounded DFS forks on every enabled event of the
+//! *exhaustively*: a depth-bounded DFS ([`explore_parallel`], on one or
+//! more work-stealing workers) forks on every enabled event of the
 //! deterministic simulator — the FIFO head of each in-flight channel, each
 //! pending timer — and asserts the register specification after every
 //! transition.
@@ -36,7 +37,7 @@
 //! of equivalent orderings without missing any inequivalent one.
 //!
 //! On violation the offending schedule is shrunk to a 1-minimal event
-//! sequence ([`shrink`]) and serialized as a replayable trace file
+//! sequence ([`shrink_parallel`]) and serialized as a replayable trace file
 //! ([`format_trace`] / [`parse_trace`]) that `harness explore --replay`
 //! re-executes verbatim.
 
@@ -134,7 +135,7 @@ impl Default for ExplorerConfig {
     }
 }
 
-/// Counters accumulated over one [`explore`] call.
+/// Counters accumulated over one [`explore_parallel`] call.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Complete schedules executed (to quiescence, the step cap, or a
@@ -152,11 +153,11 @@ pub struct ExploreStats {
     /// Subtrees skipped by state-hash dedup: an equal-state node at the
     /// same depth whose recorded sleep set is a subset of this one was
     /// already expanded, so every future explored here would be explored
-    /// there. Always 0 in the sequential explorer and with dedup off.
+    /// there. Always 0 with dedup off.
     pub deduped: u64,
     /// Nodes where a state digest was computed and looked up in the dedup
-    /// seen-set (hit rate = `deduped / dedup_checks`). Always 0 in the
-    /// sequential explorer and with dedup off.
+    /// seen-set (hit rate = `deduped / dedup_checks`). Always 0 with dedup
+    /// off.
     pub dedup_checks: u64,
 }
 
@@ -170,12 +171,13 @@ pub struct Violation {
     pub description: String,
 }
 
-/// Everything [`explore`] found.
+/// Everything [`explore_parallel`] found.
 #[derive(Clone, Debug)]
 pub struct ExploreReport {
     /// Exploration counters.
     pub stats: ExploreStats,
-    /// Violations in discovery order (empty on a clean sweep).
+    /// Violations sorted by `(schedule, description)`, independent of the
+    /// order workers found them in (empty on a clean sweep).
     pub violations: Vec<Violation>,
 }
 
@@ -264,135 +266,6 @@ pub(crate) fn sibling_sleep(
     out
 }
 
-/// Depth-bounded exhaustive DFS over the scenario's schedule tree.
-///
-/// For the first [`ExplorerConfig::branch_depth`] events of a schedule the
-/// explorer forks on every enabled (non-sleeping) event; beyond the bound
-/// it follows the first candidate in sorted key order. Every transition is
-/// invariant-checked by the scenario; end-of-schedule invariants run via
-/// [`ScenarioRun::finish`].
-pub fn explore<S: Scenario>(scenario: &S, config: &ExplorerConfig) -> ExploreReport {
-    let mut stats = ExploreStats::default();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut stack = vec![Branch { prefix: Vec::new(), sleep: Vec::new() }];
-
-    'branches: while let Some(branch) = stack.pop() {
-        if stats.schedules >= config.max_schedules {
-            stats.hit_schedule_cap = true;
-            break;
-        }
-        let mut run = scenario.start();
-        let mut schedule: Vec<EventKey> = Vec::with_capacity(branch.prefix.len() + 16);
-
-        // Replay the prefix that led to this fork point.
-        for &key in &branch.prefix {
-            stats.transitions += 1;
-            match run.step(key) {
-                StepResult::Ok => schedule.push(key),
-                StepResult::Violation(description) => {
-                    // Possible when a *prefix* already violates but the
-                    // sibling order explored first did not; record it.
-                    schedule.push(key);
-                    stats.schedules += 1;
-                    stats.max_depth = stats.max_depth.max(schedule.len());
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                    continue 'branches;
-                }
-                StepResult::Infeasible => {
-                    // A previously-enabled key is gone: the scenario is not
-                    // deterministic. Surface loudly instead of silently
-                    // exploring a different tree.
-                    panic!(
-                        "explorer replay diverged at step {} of {:?} — scenario::start is not deterministic",
-                        schedule.len(),
-                        branch.prefix
-                    );
-                }
-            }
-        }
-
-        // Extend to a complete schedule, forking while within the bound.
-        let mut sleep = branch.sleep;
-        loop {
-            let enabled = run.enabled();
-            if enabled.is_empty() {
-                stats.schedules += 1;
-                stats.max_depth = stats.max_depth.max(schedule.len());
-                if let Some(description) = run.finish(false) {
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                }
-                break;
-            }
-            if schedule.len() >= config.max_steps {
-                stats.schedules += 1;
-                stats.max_depth = stats.max_depth.max(schedule.len());
-                if let Some(description) = run.finish(true) {
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                }
-                break;
-            }
-            let candidates: Vec<EventKey> =
-                if config.prune { awake_candidates(&enabled, &sleep) } else { enabled };
-            let Some(&first) = candidates.first() else {
-                // Every enabled event sleeps: this subtree is a reordering
-                // of one already explored.
-                stats.pruned += 1;
-                break;
-            };
-            if schedule.len() < config.branch_depth {
-                // Push siblings deepest-priority-last so candidates[1] is
-                // explored next. Sibling i sleeps on everything the node
-                // already slept on plus the siblings explored before it,
-                // filtered to what stays independent of i's first move.
-                for i in (1..candidates.len()).rev() {
-                    let ci = candidates[i];
-                    let alt_sleep: Vec<EventKey> = if config.prune {
-                        sibling_sleep(&sleep, &candidates[..i], ci)
-                    } else {
-                        Vec::new()
-                    };
-                    let mut prefix = schedule.clone();
-                    prefix.push(ci);
-                    stack.push(Branch { prefix, sleep: alt_sleep });
-                }
-            }
-            if config.prune {
-                sleep.retain(|&z| independent(z, first));
-            }
-            stats.transitions += 1;
-            match run.step(first) {
-                StepResult::Ok => schedule.push(first),
-                StepResult::Violation(description) => {
-                    schedule.push(first);
-                    stats.schedules += 1;
-                    stats.max_depth = stats.max_depth.max(schedule.len());
-                    violations.push(Violation { schedule, description });
-                    if config.stop_on_violation {
-                        break 'branches;
-                    }
-                    break;
-                }
-                StepResult::Infeasible => {
-                    panic!(
-                        "enabled key {first:?} refused to step — substrate and scenario disagree"
-                    );
-                }
-            }
-        }
-    }
-
-    ExploreReport { stats, violations }
-}
-
 /// Outcome of replaying a schedule against a fresh run of a scenario.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayOutcome {
@@ -431,32 +304,6 @@ pub fn replay<S: Scenario>(scenario: &S, schedule: &[EventKey]) -> ReplayOutcome
         }
     }
     ReplayOutcome::Clean { steps: schedule.len() }
-}
-
-/// Shrink a violating schedule to a 1-minimal one: repeatedly try removing
-/// each event; a candidate that still violates (anywhere — the violation
-/// may move earlier) replaces the current schedule, truncated at its
-/// violating event. Terminates because length strictly decreases; the
-/// result violates on replay and no single further removal keeps it
-/// violating. `O(n²)` replays in the worst case, on schedules that are
-/// typically tens of events.
-pub fn shrink<S: Scenario>(scenario: &S, violation: &Violation) -> Violation {
-    let mut current = violation.schedule.clone();
-    let mut description = violation.description.clone();
-    'outer: loop {
-        for i in 0..current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(i);
-            if let ReplayOutcome::Violation { at, description: d } = replay(scenario, &candidate) {
-                candidate.truncate(at + 1);
-                current = candidate;
-                description = d;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    Violation { schedule: current, description }
 }
 
 /// A parsed counterexample trace file.
@@ -555,6 +402,7 @@ mod tests {
     /// process 1's.
     struct Toy;
 
+    #[derive(Clone)]
     struct ToyRun {
         delivered: Vec<EventKey>,
         pending: Vec<EventKey>,
@@ -618,38 +466,93 @@ mod tests {
         ExplorerConfig { branch_depth: 16, prune, stop_on_violation: false, ..Default::default() }
     }
 
+    /// The engine on the toy with its default pool: one worker, no dedup.
+    fn toy_report(config: &ExplorerConfig) -> ExploreReport {
+        explore_parallel(&Toy, config, &ParallelConfig::default())
+    }
+
+    /// Reference enumeration, sharing no code with the engine: every
+    /// complete schedule of a toy run by plain recursion over `enabled()`,
+    /// with its verdict. A schedule ends at its first violating step or at
+    /// quiescence.
+    fn brute_force(run: &ToyRun, schedule: &[EventKey], out: &mut Vec<Violation>) -> u64 {
+        let enabled = run.enabled();
+        if enabled.is_empty() {
+            if let Some(description) = run.clone().finish(false) {
+                out.push(Violation { schedule: schedule.to_vec(), description });
+            }
+            return 1;
+        }
+        let mut schedules = 0;
+        for key in enabled {
+            let (mut next, mut longer) = (run.clone(), schedule.to_vec());
+            longer.push(key);
+            schedules += match next.step(key) {
+                StepResult::Ok => brute_force(&next, &longer, out),
+                StepResult::Violation(description) => {
+                    out.push(Violation { schedule: longer, description });
+                    1
+                }
+                StepResult::Infeasible => panic!("enabled key {key:?} refused to step"),
+            };
+        }
+        schedules
+    }
+
+    /// The brute-force schedule count and violations, sorted like the
+    /// engine's report.
+    fn toy_reference() -> (u64, Vec<Violation>) {
+        let mut violations = Vec::new();
+        let schedules = brute_force(&Toy.start(), &[], &mut violations);
+        violations.sort_by(|a, b| {
+            a.schedule.cmp(&b.schedule).then_with(|| a.description.cmp(&b.description))
+        });
+        (schedules, violations)
+    }
+
     #[test]
     fn unpruned_exploration_counts_the_full_tree() {
-        let report = explore(&Toy, &cfg(false));
+        let report = toy_report(&cfg(false));
         // Orders of {1,2,3,then 1→3}: schedules that deliver 2 first stop
-        // immediately (violation), so the tree is smaller than 4!; the
-        // exact count just needs to be stable and every 2-before-1 order
-        // must be caught.
+        // immediately (violation), so the tree is smaller than 4!; every
+        // 2-before-1 order must be caught.
         assert!(report.stats.schedules > 4, "{:?}", report.stats);
         assert!(!report.violations.is_empty());
         assert!(report.violations.iter().all(|v| v.description == "2 before 1"));
+        // Unpruned, the engine walks exactly the reference tree.
+        let (schedules, violations) = toy_reference();
+        assert_eq!(report.stats.schedules, schedules);
+        assert_eq!(report.stats.pruned, 0);
+        assert_eq!(report.violations, violations);
         // Deterministic: same config, same result.
-        let again = explore(&Toy, &cfg(false));
+        let again = toy_report(&cfg(false));
         assert_eq!(report.stats, again.stats);
         assert_eq!(report.violations, again.violations);
     }
 
     #[test]
     fn pruning_preserves_the_violation_set_shape() {
-        let full = explore(&Toy, &cfg(false));
-        let pruned = explore(&Toy, &cfg(true));
+        use std::collections::BTreeSet;
+        let full = toy_report(&cfg(false));
+        let pruned = toy_report(&cfg(true));
         assert!(pruned.stats.schedules < full.stats.schedules, "sleep sets must prune");
         assert!(pruned.stats.pruned > 0);
-        // Every distinct violation description survives pruning.
+        // Every distinct violation description of the reference tree
+        // survives pruning.
         assert!(!pruned.violations.is_empty());
         assert!(pruned.violations.iter().all(|v| v.description == "2 before 1"));
+        let reference: BTreeSet<String> =
+            toy_reference().1.into_iter().map(|v| v.description).collect();
+        let found: BTreeSet<String> =
+            pruned.violations.into_iter().map(|v| v.description).collect();
+        assert_eq!(found, reference);
     }
 
     #[test]
     fn shrink_reaches_the_minimal_counterexample() {
-        let report = explore(&Toy, &cfg(true));
+        let report = toy_report(&cfg(true));
         let v = report.violations.first().expect("toy violates");
-        let min = shrink(&Toy, v);
+        let min = shrink_parallel(&Toy, v, 1);
         // Minimal: deliver (0,2) alone.
         assert_eq!(min.schedule, vec![chan(0, 2)]);
         assert_eq!(min.description, "2 before 1");
@@ -709,20 +612,13 @@ mod tests {
         assert_eq!(got, reference);
     }
 
-    /// Sort a violation list the way [`explore_parallel`] does, for
-    /// comparing against sequential discovery order.
-    fn sorted(mut v: Vec<Violation>) -> Vec<Violation> {
-        v.sort_by(|a, b| {
-            a.schedule.cmp(&b.schedule).then_with(|| a.description.cmp(&b.description))
-        });
-        v
-    }
-
+    /// "Sequential" is the one-worker engine: every worker count and
+    /// split depth must reproduce its stats and violations exactly.
     #[test]
     fn parallel_matches_sequential_for_every_worker_count() {
         for prune in [false, true] {
-            let seq = explore(&Toy, &cfg(prune));
-            for jobs in [1, 2, 4] {
+            let seq = toy_report(&cfg(prune));
+            for jobs in [2, 4] {
                 for split_depth in [0, 2, 16] {
                     let par = ParallelConfig { jobs, split_depth, dedup: false };
                     let rep = explore_parallel(&Toy, &cfg(prune), &par);
@@ -730,7 +626,7 @@ mod tests {
                         rep.stats, seq.stats,
                         "jobs={jobs} split={split_depth} prune={prune}"
                     );
-                    assert_eq!(rep.violations, sorted(seq.violations.clone()));
+                    assert_eq!(rep.violations, seq.violations);
                 }
             }
         }
@@ -739,7 +635,7 @@ mod tests {
     #[test]
     fn dedup_skips_subtrees_but_keeps_every_violation_description() {
         use std::collections::BTreeSet;
-        let base = explore(&Toy, &cfg(true));
+        let base = toy_report(&cfg(true));
         let par = ParallelConfig { jobs: 2, split_depth: 2, dedup: true };
         let rep = explore_parallel(&Toy, &cfg(true), &par);
         assert!(rep.stats.dedup_checks > 0, "toy digests are Some, so nodes must be checked");
@@ -753,21 +649,24 @@ mod tests {
         assert_eq!(full, deduped, "dedup must preserve the violation-description set");
     }
 
+    /// Every worker count shrinks every found violation to the one-worker
+    /// result.
     #[test]
     fn parallel_shrink_matches_sequential_shrink() {
-        let report = explore(&Toy, &cfg(true));
-        let v = report.violations.first().expect("toy violates");
-        let seq = shrink(&Toy, v);
-        for jobs in [1, 2, 4] {
-            let par = shrink_parallel(&Toy, v, jobs);
-            assert_eq!(par, seq, "jobs={jobs}");
+        let report = toy_report(&cfg(false));
+        assert!(!report.violations.is_empty(), "toy violates");
+        for v in &report.violations {
+            let seq = shrink_parallel(&Toy, v, 1);
+            for jobs in [2, 4] {
+                assert_eq!(shrink_parallel(&Toy, v, jobs), seq, "jobs={jobs} from {v:?}");
+            }
         }
     }
 
     #[test]
     fn step_cap_cuts_schedules_and_flags_bounded_finish() {
         let config = ExplorerConfig { max_steps: 1, branch_depth: 0, ..Default::default() };
-        let report = explore(&Toy, &config);
+        let report = toy_report(&config);
         assert_eq!(report.stats.schedules, 1, "branch_depth 0 follows one schedule");
         assert_eq!(report.stats.max_depth, 1);
         // finish(bounded=true) in the toy still reports pending events.

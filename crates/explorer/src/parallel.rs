@@ -1,9 +1,9 @@
-//! Work-stealing parallel schedule exploration.
+//! The exploration engine: a sleep-set DFS on a work-stealing pool.
 //!
-//! The sequential explorer's unit of work — a `Branch` — is already
-//! self-contained: replay by [`EventKey`] is exact, so any worker can pick
-//! a branch up, replay its prefix on a fresh [`Scenario::start`], and own
-//! the subtree. This module exploits that: `jobs` OS threads share a
+//! The explorer's unit of work — a `Branch` — is self-contained: replay
+//! by [`EventKey`] is exact, so any worker can pick a branch up, replay
+//! its prefix on a fresh [`Scenario::start`], and own the subtree. `jobs`
+//! OS threads (one by default) share a
 //! global injector queue (`crossbeam::deque`); each keeps a private LIFO
 //! stack for depth-first locality and exports shallow siblings — forked at
 //! schedule depth below [`ParallelConfig::split_depth`] — to the injector,
@@ -70,8 +70,8 @@ struct Shared<'a> {
     /// `outstanding == 0`.
     outstanding: AtomicUsize,
     /// Global completed-schedule count, checked against `max_schedules`
-    /// at each branch start (like the sequential explorer; under races
-    /// the cap may be overshot by at most `jobs - 1` schedules).
+    /// at each branch start (under races the cap may be overshot by at
+    /// most `jobs - 1` schedules).
     schedules: AtomicU64,
     /// Set when the schedule cap was hit.
     capped: AtomicBool,
@@ -83,11 +83,16 @@ struct Shared<'a> {
     split_depth: usize,
 }
 
-/// Explore `scenario`'s schedule tree with `par.jobs` work-stealing
-/// workers. Semantics match [`crate::explore`] (same tree, same bounds);
-/// merged stats are sums (`max_depth`: max) over workers and violations
-/// are sorted by `(schedule, description)` so the report is independent
-/// of completion order.
+/// Depth-bounded exhaustive DFS over `scenario`'s schedule tree, on
+/// `par.jobs` work-stealing workers.
+///
+/// For the first [`ExplorerConfig::branch_depth`] events of a schedule the
+/// explorer forks on every enabled (non-sleeping) event; beyond the bound
+/// it follows the first candidate in sorted key order. Every transition is
+/// invariant-checked by the scenario; end-of-schedule invariants run via
+/// [`ScenarioRun::finish`]. Merged stats are sums (`max_depth`: max) over
+/// workers and violations are sorted by `(schedule, description)`, so the
+/// report is independent of completion order.
 pub fn explore_parallel<S: Scenario + Sync>(
     scenario: &S,
     config: &ExplorerConfig,
@@ -180,9 +185,9 @@ fn worker<S: Scenario>(scenario: &S, sh: &Shared<'_>) -> (ExploreStats, Vec<Viol
 }
 
 /// Replay one branch's prefix and extend it to a complete schedule,
-/// forking siblings to the local stack or the injector. The body mirrors
-/// [`crate::explore`]'s loop; a completed schedule also bumps the global
-/// counter so the `max_schedules` cap is pool-wide.
+/// forking siblings to the local stack or the injector. A completed
+/// schedule also bumps the global counter so the `max_schedules` cap is
+/// pool-wide.
 fn explore_branch<S: Scenario>(
     scenario: &S,
     sh: &Shared<'_>,
@@ -194,127 +199,113 @@ fn explore_branch<S: Scenario>(
     let config = sh.config;
     let mut run = scenario.start();
     let mut schedule: Vec<EventKey> = Vec::with_capacity(branch.prefix.len() + 16);
+    let mut prefix = branch.prefix.iter();
+    let mut sleep = branch.sleep;
 
-    let complete = |stats: &mut ExploreStats, len: usize| {
-        stats.schedules += 1;
-        stats.max_depth = stats.max_depth.max(len);
-        sh.schedules.fetch_add(1, Ordering::Relaxed);
-    };
-
-    for &key in &branch.prefix {
+    // Each pass executes one event: the next prefix key while replaying,
+    // then the first awake candidate. The loop ends with the schedule's
+    // verdict, or returns when the branch is pruned or deduped.
+    let verdict = loop {
+        let key = match prefix.next() {
+            Some(&key) => key,
+            None => {
+                // State-hash dedup, fork region only: deeper nodes are on a
+                // forced linear tail whose outcome dedup could only hide.
+                if schedule.len() <= config.branch_depth {
+                    if let Some(seen) = &sh.seen {
+                        if let Some(digest) = run.state_digest() {
+                            stats.dedup_checks += 1;
+                            if seen.subsumed_or_insert(digest, schedule.len(), &sleep) {
+                                stats.deduped += 1;
+                                return;
+                            }
+                        }
+                    }
+                }
+                let enabled = run.enabled();
+                if enabled.is_empty() || schedule.len() >= config.max_steps {
+                    break run.finish(!enabled.is_empty());
+                }
+                let candidates: Vec<EventKey> =
+                    if config.prune { awake_candidates(&enabled, &sleep) } else { enabled };
+                let Some(&first) = candidates.first() else {
+                    // Every enabled event sleeps: this subtree is a
+                    // reordering of one already explored.
+                    stats.pruned += 1;
+                    return;
+                };
+                if schedule.len() < config.branch_depth {
+                    // Push siblings deepest-priority-last so candidates[1]
+                    // is explored next. Sibling i sleeps on everything the
+                    // node already slept on plus the siblings explored
+                    // before it, filtered to what stays independent of i's
+                    // first move.
+                    for i in (1..candidates.len()).rev() {
+                        let ci = candidates[i];
+                        let alt_sleep: Vec<EventKey> = if config.prune {
+                            sibling_sleep(&sleep, &candidates[..i], ci)
+                        } else {
+                            Vec::new()
+                        };
+                        let mut prefix = schedule.clone();
+                        prefix.push(ci);
+                        let sibling = Branch { prefix, sleep: alt_sleep };
+                        if schedule.len() < sh.split_depth {
+                            // Export for stealing: count it outstanding
+                            // *before* it becomes visible, so no worker can
+                            // observe an empty injector with a zero count
+                            // while it is alive.
+                            sh.outstanding.fetch_add(1, Ordering::AcqRel);
+                            sh.injector.push(sibling);
+                        } else {
+                            local.push(sibling);
+                        }
+                    }
+                }
+                if config.prune {
+                    sleep.retain(|&z| independent(z, first));
+                }
+                first
+            }
+        };
         stats.transitions += 1;
         match run.step(key) {
             StepResult::Ok => schedule.push(key),
             StepResult::Violation(description) => {
+                // Possible in the prefix too: a prefix may violate where
+                // the sibling order explored first did not.
                 schedule.push(key);
-                complete(stats, schedule.len());
-                violations.push(Violation { schedule, description });
-                if config.stop_on_violation {
-                    sh.stop.store(true, Ordering::Relaxed);
-                }
-                return;
+                break Some(description);
             }
-            StepResult::Infeasible => {
-                panic!(
-                    "explorer replay diverged at step {} of {:?} — scenario::start is not deterministic",
-                    schedule.len(),
-                    branch.prefix
-                );
-            }
+            StepResult::Infeasible => panic!(
+                "key {key:?} refused to step after {:?} — Scenario::start is not \
+                 deterministic, or enabled() and step() disagree",
+                schedule
+            ),
         }
-    }
+    };
 
-    let mut sleep = branch.sleep;
-    loop {
-        // State-hash dedup, fork region only: deeper nodes are on a
-        // forced linear tail whose outcome dedup could only hide.
-        if schedule.len() <= config.branch_depth {
-            if let Some(seen) = &sh.seen {
-                if let Some(digest) = run.state_digest() {
-                    stats.dedup_checks += 1;
-                    if seen.subsumed_or_insert(digest, schedule.len(), &sleep) {
-                        stats.deduped += 1;
-                        return;
-                    }
-                }
-            }
-        }
-        let enabled = run.enabled();
-        if enabled.is_empty() {
-            complete(stats, schedule.len());
-            if let Some(description) = run.finish(false) {
-                violations.push(Violation { schedule, description });
-                if config.stop_on_violation {
-                    sh.stop.store(true, Ordering::Relaxed);
-                }
-            }
-            return;
-        }
-        if schedule.len() >= config.max_steps {
-            complete(stats, schedule.len());
-            if let Some(description) = run.finish(true) {
-                violations.push(Violation { schedule, description });
-                if config.stop_on_violation {
-                    sh.stop.store(true, Ordering::Relaxed);
-                }
-            }
-            return;
-        }
-        let candidates: Vec<EventKey> =
-            if config.prune { awake_candidates(&enabled, &sleep) } else { enabled };
-        let Some(&first) = candidates.first() else {
-            stats.pruned += 1;
-            return;
-        };
-        if schedule.len() < config.branch_depth {
-            for i in (1..candidates.len()).rev() {
-                let ci = candidates[i];
-                let alt_sleep: Vec<EventKey> = if config.prune {
-                    sibling_sleep(&sleep, &candidates[..i], ci)
-                } else {
-                    Vec::new()
-                };
-                let mut prefix = schedule.clone();
-                prefix.push(ci);
-                let sibling = Branch { prefix, sleep: alt_sleep };
-                if schedule.len() < sh.split_depth {
-                    // Export for stealing: count it outstanding *before*
-                    // it becomes visible, so no worker can observe an
-                    // empty injector with a zero count while it is alive.
-                    sh.outstanding.fetch_add(1, Ordering::AcqRel);
-                    sh.injector.push(sibling);
-                } else {
-                    local.push(sibling);
-                }
-            }
-        }
-        if config.prune {
-            sleep.retain(|&z| independent(z, first));
-        }
-        stats.transitions += 1;
-        match run.step(first) {
-            StepResult::Ok => schedule.push(first),
-            StepResult::Violation(description) => {
-                schedule.push(first);
-                complete(stats, schedule.len());
-                violations.push(Violation { schedule, description });
-                if config.stop_on_violation {
-                    sh.stop.store(true, Ordering::Relaxed);
-                }
-                return;
-            }
-            StepResult::Infeasible => {
-                panic!("enabled key {first:?} refused to step — substrate and scenario disagree");
-            }
+    stats.schedules += 1;
+    stats.max_depth = stats.max_depth.max(schedule.len());
+    sh.schedules.fetch_add(1, Ordering::Relaxed);
+    if let Some(description) = verdict {
+        violations.push(Violation { schedule, description });
+        if config.stop_on_violation {
+            sh.stop.store(true, Ordering::Relaxed);
         }
     }
 }
 
-/// Parallel 1-minimal shrink. Each round tests every single-event removal
-/// concurrently and applies the one at the **lowest** index that still
-/// violates — exactly the candidate the sequential [`crate::shrink`]'s
-/// first-hit scan would take, so the result is identical for every `jobs`
-/// value. Workers skip indexes above the best hit found so far.
+/// Shrink a violating schedule to a 1-minimal one on `jobs` workers.
+///
+/// Each round tests every single-event removal concurrently and applies
+/// the one at the **lowest** index that still violates (anywhere — the
+/// violation may move earlier), truncated at its violating event. Workers
+/// skip indexes above the best hit found so far; taking the lowest index
+/// makes the result identical for every `jobs` value. Terminates because
+/// length strictly decreases; the result violates on replay and no single
+/// further removal keeps it violating. `O(n²)` replays in the worst case,
+/// on schedules that are typically tens of events.
 pub fn shrink_parallel<S: Scenario + Sync>(
     scenario: &S,
     violation: &Violation,

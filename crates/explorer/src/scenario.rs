@@ -307,9 +307,14 @@ fn crash_recover(seed: u64) -> RegisterRun {
 mod tests {
     use super::*;
     use crate::{
-        explore, explore_parallel, replay, shrink, shrink_parallel, ExplorerConfig, ParallelConfig,
+        explore_parallel, replay, shrink_parallel, ExploreReport, ExplorerConfig, ParallelConfig,
         ReplayOutcome,
     };
+
+    /// The engine with its default pool: one worker, no dedup.
+    fn one_worker(s: &RegisterScenario, config: &ExplorerConfig) -> ExploreReport {
+        explore_parallel(s, config, &ParallelConfig::default())
+    }
 
     #[test]
     fn scenario_lookup_by_name() {
@@ -348,10 +353,10 @@ mod tests {
         let s = RegisterScenario::theorem1(5);
         let config =
             ExplorerConfig { branch_depth: 12, stop_on_violation: true, ..Default::default() };
-        let report = explore(&s, &config);
+        let report = one_worker(&s, &config);
         let v = report.violations.first().expect("Theorem 1 counterexample must be rediscovered");
         assert!(v.description.contains("UnknownValue"), "{}", v.description);
-        let min = shrink(&s, v);
+        let min = shrink_parallel(&s, v, 1);
         assert!(min.schedule.len() <= v.schedule.len());
         match replay(&s, &min.schedule) {
             ReplayOutcome::Violation { at, description } => {
@@ -362,15 +367,15 @@ mod tests {
         }
     }
 
-    /// Satellite 5: same config + bound ⇒ identical schedule count and
+    /// Same config + bound ⇒ identical schedule count and
     /// violation set across independent explorations, and each recorded
     /// violation replays to the same verdict (the `--replay` path).
     #[test]
     fn exploration_is_deterministic_across_runs_and_replay() {
         let clean = RegisterScenario::concurrent_write_read();
         let config = ExplorerConfig { branch_depth: 3, max_schedules: 300, ..Default::default() };
-        let a = explore(&clean, &config);
-        let b = explore(&clean, &config);
+        let a = one_worker(&clean, &config);
+        let b = one_worker(&clean, &config);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.violations, b.violations);
 
@@ -381,8 +386,8 @@ mod tests {
             stop_on_violation: true,
             ..Default::default()
         };
-        let a = explore(&dirty, &config);
-        let b = explore(&dirty, &config);
+        let a = one_worker(&dirty, &config);
+        let b = one_worker(&dirty, &config);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.violations, b.violations);
         for v in &a.violations {
@@ -407,7 +412,7 @@ mod tests {
         let config =
             ExplorerConfig { branch_depth: 9, max_schedules: 1_000_000, ..Default::default() };
         let t0 = std::time::Instant::now();
-        let report = explore(&s, &config);
+        let report = one_worker(&s, &config);
         let dt = t0.elapsed().as_secs_f64();
         println!(
             "prune-on depth-9: {} schedules, {} pruned, {} transitions in {:.2}s = {:.0} transitions/sec",
@@ -479,29 +484,36 @@ mod tests {
         assert_ne!(v0, srv1.value, "stale server must hold an older value");
     }
 
-    /// Tentpole determinism: with dedup off, the parallel explorer returns
-    /// bit-identical stats and violations for jobs 1, 2, and 4 — and they
-    /// match the sequential sweep (violations modulo the parallel sort) —
-    /// on both a clean scenario and the violating one.
+    /// Determinism: with dedup off, 2 and 4 workers return bit-identical
+    /// stats and violations to the one-worker ("sequential") run, whose
+    /// counts are pinned to literals for two fork depths.
     #[test]
     fn parallel_exploration_is_deterministic_across_worker_counts() {
         let clean = RegisterScenario::concurrent_write_read();
-        let config = ExplorerConfig { branch_depth: 3, max_schedules: 300, ..Default::default() };
-        let seq = explore(&clean, &config);
-        for jobs in [1, 2, 4] {
-            let par = ParallelConfig { jobs, split_depth: 2, dedup: false };
-            let a = explore_parallel(&clean, &config, &par);
-            let b = explore_parallel(&clean, &config, &par);
-            assert_eq!(a.stats, seq.stats, "jobs={jobs} vs sequential");
-            assert_eq!(a.stats, b.stats, "jobs={jobs} repeated run");
-            assert_eq!(a.violations, b.violations, "jobs={jobs} repeated run");
-            assert!(a.violations.is_empty());
+        // (fork depth, schedule cap, schedules, pruned, transitions)
+        let pinned = [(3, 300, 28, 26, 1_981), (4, 200_000, 81, 109, 6_616)];
+        for (branch_depth, max_schedules, schedules, pruned, transitions) in pinned {
+            let config = ExplorerConfig { branch_depth, max_schedules, ..Default::default() };
+            let seq = one_worker(&clean, &config);
+            let got = (seq.stats.schedules, seq.stats.pruned, seq.stats.transitions);
+            assert_eq!(got, (schedules, pruned, transitions), "depth {branch_depth}");
+            assert!(!seq.stats.hit_schedule_cap);
+            assert!(seq.violations.is_empty());
+            for jobs in [2, 4] {
+                let par = ParallelConfig { jobs, split_depth: 2, dedup: false };
+                let a = explore_parallel(&clean, &config, &par);
+                let b = explore_parallel(&clean, &config, &par);
+                assert_eq!(a.stats, seq.stats, "jobs={jobs} vs one worker");
+                assert_eq!(a.stats, b.stats, "jobs={jobs} repeated run");
+                assert_eq!(a.violations, b.violations, "jobs={jobs} repeated run");
+                assert!(a.violations.is_empty());
+            }
         }
     }
 
-    /// Tentpole end-to-end: the n=5 Theorem 1 counterexample is
+    /// End to end: the n=5 Theorem 1 counterexample is
     /// rediscovered by the parallel explorer (with and without dedup),
-    /// shrinks in parallel to the sequential minimum, and replays.
+    /// shrinks on two workers, and the shrunk schedule replays.
     #[test]
     fn theorem1_n5_counterexample_survives_parallel_and_dedup() {
         let s = RegisterScenario::theorem1(5);

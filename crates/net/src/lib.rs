@@ -18,7 +18,7 @@
 //! Protocols are written *sans-IO* as [`process::Automaton`] state machines
 //! and run unchanged on either substrate. The [`substrate::Substrate`]
 //! trait is the common driver surface — spawn, inject, pump outputs,
-//! metrics, trace, fault injection, crash, stop — so scenario drivers are
+//! metrics, fault injection, crash, stop — so scenario drivers are
 //! generic over the runtime and select it via [`substrate::Backend`].
 //!
 //! Fault injection lives in [`corruption`] (transient state/channel
@@ -43,7 +43,6 @@ pub mod sim;
 pub mod substrate;
 pub mod threaded;
 pub mod timer_wheel;
-pub mod trace;
 
 pub use batch::{BatchPolicy, Frame, LinkBatcher};
 pub use channel::{DelayModel, Scheduled};

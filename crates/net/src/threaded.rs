@@ -66,7 +66,6 @@ use crate::nemesis::LinkFault;
 use crate::process::{Automaton, Ctx, ProcessId, ENV};
 use crate::substrate::{Backend, Outputs, Pumped, Substrate, SubstrateConfig};
 use crate::timer_wheel::{TimerWheel, TimerWheelThread};
-use crate::trace::Trace;
 
 enum Ctl<M, O> {
     Msg {
@@ -439,7 +438,6 @@ struct Worker<M, O> {
     wheel: TimerWheel,
     metrics: Arc<SharedMetrics>,
     links: Arc<LinkFaults>,
-    trace: Option<Arc<Mutex<Trace>>>,
     epoch: Instant,
     tick: Duration,
     rng: StdRng,
@@ -544,13 +542,6 @@ where
                     self.metrics.events.fetch_add(1, Ordering::Relaxed);
                     self.metrics.record_batch_delivery(self.pid, msgs.len() as u64);
                     let now = self.ticks();
-                    if let Some(trace) = &self.trace {
-                        if let Ok(mut t) = trace.lock() {
-                            for msg in &msgs {
-                                t.record(now, from, self.pid, || format!("{msg:?}"));
-                            }
-                        }
-                    }
                     // One shared context for the whole frame: replies and
                     // acks produced while applying it coalesce into outgoing
                     // frames of their own (batch-in → batch-out).
@@ -568,11 +559,6 @@ where
                     self.metrics.events.fetch_add(1, Ordering::Relaxed);
                     self.metrics.record_delivery(self.pid);
                     let now = self.ticks();
-                    if let Some(trace) = &self.trace {
-                        if let Ok(mut t) = trace.lock() {
-                            t.record(now, from, self.pid, || format!("{msg:?}"));
-                        }
-                    }
                     self.dispatch(now, |auto, ctx| auto.on_message(from, msg, ctx));
                 }
             }
@@ -742,7 +728,6 @@ pub struct ThreadedCluster<M, O> {
     wheel: TimerWheelThread,
     metrics: Arc<SharedMetrics>,
     links: Arc<LinkFaults>,
-    trace: Option<Arc<Mutex<Trace>>>,
     /// Driver-side RNG for fault-plan garbage generation.
     rng: StdRng,
     epoch: Instant,
@@ -776,8 +761,6 @@ where
         let metrics = Arc::new(SharedMetrics::new(n));
         let links = Arc::new(LinkFaults::new());
         let latch = Arc::new(ExitLatch::new(n));
-        let trace = (config.trace_capacity > 0)
-            .then(|| Arc::new(Mutex::new(Trace::new(config.trace_capacity))));
         let epoch = Instant::now();
         let wheel = TimerWheel::spawn(epoch, config.tick);
 
@@ -793,7 +776,6 @@ where
                 wheel: wheel.handle(),
                 metrics: Arc::clone(&metrics),
                 links: Arc::clone(&links),
-                trace: trace.clone(),
                 epoch,
                 tick: config.tick,
                 rng: StdRng::seed_from_u64(
@@ -817,7 +799,6 @@ where
             wheel,
             metrics,
             links,
-            trace,
             rng: StdRng::seed_from_u64(config.seed ^ 0xD1B5_4A32_D192_ED03),
             epoch,
             tick: config.tick,
@@ -967,13 +948,6 @@ where
 
     fn metrics_snapshot(&self) -> NetMetrics {
         self.metrics.snapshot()
-    }
-
-    fn trace_snapshot(&self) -> Trace {
-        match &self.trace {
-            Some(t) => t.lock().map(|g| g.clone()).unwrap_or_default(),
-            None => Trace::default(),
-        }
     }
 
     fn apply_fault(&mut self, plan: &FaultPlan, gen: &mut dyn FnMut(&mut StdRng) -> M) {
